@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
 
+import numpy as np
+
 DEFAULT_SCALE_BOUNDARIES = (800.0, 1600.0, 3200.0)
 
 # Pixel-area cutoffs for the evaluation size buckets (96x96 and 288x288).
@@ -149,6 +151,84 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     inter = iw * ih
     union = a.area + b.area - inter
     return inter / union
+
+
+# Candidate pairs examined per step of overlap_pairs; bounds its working
+# memory whatever the scene's shape.
+_SWEEP_CHUNK = 1 << 12
+
+
+def _range_chunks(lo: np.ndarray, hi: np.ndarray):
+    """(row, position) for every lo[row] <= position < hi[row], in row
+    order, yielded in pieces of about _SWEEP_CHUNK pairs."""
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    row = 0
+    while row < len(lo):
+        limit = ends[row] - counts[row] + _SWEEP_CHUNK
+        stop = max(int(np.searchsorted(ends, limit, side="right")), row + 1)
+        c = counts[row:stop]
+        rows = np.repeat(np.arange(row, stop), c)
+        yield rows, np.arange(len(rows)) + np.repeat(lo[row:stop] - (np.cumsum(c) - c), c)
+        row = stop
+
+
+def overlap_pairs(
+    a: np.ndarray, b: np.ndarray, min_iou: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of boxes a[i], b[j] that overlaps with IoU >= min_iou.
+
+    a and b are (n, 4) and (m, 4) float64 arrays of x, y, width, height.
+    Returns int64 arrays i and j and a float64 array of IoUs, ordered by
+    (i, j). With min_iou = 0 these are exactly the pairs for which
+    iou(a[i], b[j]) is not 0.0 by its extent test; every value is the one
+    iou gives, bit for bit (same rounding of right/bottom, extent caps,
+    union order and a == b shortcut).
+
+    Boxes are swept in x order: a pair overlaps in x only if b starts in
+    [a.x, a.right] or a starts in (b.x, b.right], so each box's partners
+    are one range of the other side sorted by x. The ranges are examined
+    in fixed-size chunks; memory is O(n + m + pairs), with no n x m matrix.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    ax, ay, aw, ah = a.T
+    bx, by, bw, bh = b.T
+    a_right, a_bottom, b_right, b_bottom = ax + aw, ay + ah, bx + bw, by + bh
+    a_by_x, b_by_x = np.argsort(ax, kind="stable"), np.argsort(bx, kind="stable")
+    b_x, a_x = bx[b_by_x], ax[a_by_x]
+    # The first range is closed at a.right so that equal boxes whose right
+    # rounds onto x still reach iou's a == b shortcut.
+    sweeps = (
+        (False, b_by_x, np.searchsorted(b_x, ax, "left"), np.searchsorted(b_x, a_right, "right")),
+        (True, a_by_x, np.searchsorted(a_x, bx, "right"), np.searchsorted(a_x, b_right, "right")),
+    )
+    parts_i, parts_j, parts_v = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for swapped, by_x, lo, hi in sweeps:
+        for rows, pos in _range_chunks(lo, hi):
+            i, j = (by_x[pos], rows) if swapped else (rows, by_x[pos])
+            near = (by[j] <= a_bottom[i]) & (ay[i] <= b_bottom[j])
+            i, j = i[near], j[near]
+            iw = np.minimum(
+                np.minimum(a_right[i], b_right[j]) - np.maximum(ax[i], bx[j]),
+                np.minimum(aw[i], bw[j]),
+            )
+            ih = np.minimum(
+                np.minimum(a_bottom[i], b_bottom[j]) - np.maximum(ay[i], by[j]),
+                np.minimum(ah[i], bh[j]),
+            )
+            same = (ax[i] == bx[j]) & (ay[i] == by[j]) & (aw[i] == bw[j]) & (ah[i] == bh[j])
+            hit = ((iw > 0) & (ih > 0)) | same
+            i, j, iw, ih, same = i[hit], j[hit], iw[hit], ih[hit], same[hit]
+            inter = iw * ih
+            v = np.where(same, 1.0, inter / ((aw[i] * ah[i] + bw[j] * bh[j]) - inter))
+            keep = v >= min_iou
+            parts_i.append(i[keep])
+            parts_j.append(j[keep])
+            parts_v.append(v[keep])
+    i, j = np.concatenate(parts_i), np.concatenate(parts_j)
+    order = np.lexsort((j, i))
+    return i[order], j[order], np.concatenate(parts_v)[order]
 
 
 def scale_bucket(

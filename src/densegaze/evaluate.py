@@ -20,16 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    EVAL_LARGE_AREA,
+    EVAL_SMALL_AREA,
     Annotation,
     BoundingBox,
     EvalSizeBucket,
     ScaleLevel,
     SceneExtent,
-    eval_size_bucket,
-    iou,
+    overlap_pairs,
 )
 from .gaze import DetectorAdapter, run_gaze
-from .merge import DEFAULT_NMS_IOU, GlobalDetection, merge_run
+from .merge import DEFAULT_NMS_IOU, GlobalDetection, detection_columns, merge_run
 from .saccade import DEFAULT_EXPANSION, Patch, expand_and_clip
 
 MATCH_IOU = 0.5
@@ -100,17 +101,45 @@ class EvalReport:
         return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows)
 
 
-def _sorted_order(dets: list[GlobalDetection]) -> list[int]:
-    return sorted(
-        range(len(dets)),
-        key=lambda i: (
-            -dets[i].score,
-            dets[i].bbox.x,
-            dets[i].bbox.y,
-            dets[i].bbox.width,
-            dets[i].bbox.height,
-        ),
-    )
+def _sorted_order(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Ranking for matching: score desc, then x, y, width, height; stable."""
+    return np.lexsort((boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], -scores))
+
+
+def _annotation_columns(gts: list[Annotation]) -> tuple[np.ndarray, np.ndarray]:
+    """Boxes (m, 4) and categories of the ground truth."""
+    boxes = np.array([(g.bbox.x, g.bbox.y, g.bbox.width, g.bbox.height) for g in gts], dtype=np.float64)
+    return boxes.reshape(-1, 4), np.array([g.category for g in gts], dtype=np.int64)
+
+
+def _match(
+    boxes: np.ndarray,
+    scores: np.ndarray,
+    categories: np.ndarray,
+    gt_boxes: np.ndarray,
+    gt_categories: np.ndarray,
+    iou_threshold: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy matching in score order: each detection takes the free
+    same-category ground truth with the highest IoU at or above threshold,
+    the lowest gt index on equal IoU.
+
+    Returns the detection order and the matched gt index per ordered
+    detection (-1 for none).
+    """
+    order = _sorted_order(boxes, scores)
+    i, j, v = overlap_pairs(boxes[order], gt_boxes, iou_threshold)
+    # IoU 0.0 never matches, even at a threshold of 0.
+    ok = (v > 0.0) & (categories[order][i] == gt_categories[j])
+    i, j, v = i[ok], j[ok], v[ok]
+    preference = np.lexsort((j, -v, i))
+    match = [-1] * len(order)
+    taken = [False] * len(gt_boxes)
+    for di, gi in zip(i[preference].tolist(), j[preference].tolist()):
+        if match[di] < 0 and not taken[gi]:
+            match[di] = gi
+            taken[gi] = True
+    return order, np.array(match, dtype=np.int64)
 
 
 def match_detections(
@@ -123,24 +152,9 @@ def match_detections(
 
     Returns (detection order, matched gt index per ordered detection).
     """
-    order = _sorted_order(dets)
-    taken = [False] * len(gts)
-    matches: list[int | None] = []
-    for di in order:
-        det = dets[di]
-        best: int | None = None
-        best_iou = 0.0
-        for gi, gt in enumerate(gts):
-            if taken[gi] or gt.category != det.category:
-                continue
-            overlap = iou(det.bbox, gt.bbox)
-            if overlap >= iou_threshold and overlap > best_iou:
-                best = gi
-                best_iou = overlap
-        if best is not None:
-            taken[best] = True
-        matches.append(best)
-    return order, matches
+    boxes, scores, categories, _ = detection_columns(dets)
+    order, match = _match(boxes, scores, categories, *_annotation_columns(gts), iou_threshold)
+    return order.tolist(), [None if gi < 0 else gi for gi in match.tolist()]
 
 
 def _interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
@@ -154,36 +168,43 @@ def _interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
     return float(sampled.mean())
 
 
-def ap50(
-    dets: list[GlobalDetection],
-    gts: list[Annotation],
-    size_filter: EvalSizeBucket | None = None,
+_BUCKETS = list(EvalSizeBucket)
+
+
+def _size_buckets(boxes: np.ndarray) -> np.ndarray:
+    """eval_size_bucket of every (x, y, w, h) row, as an index into _BUCKETS."""
+    area = boxes[:, 2] * boxes[:, 3]
+    return (area >= EVAL_SMALL_AREA).astype(np.int64) + (area >= EVAL_LARGE_AREA)
+
+
+def _slice_ap(
+    match: np.ndarray,
+    det_bucket: np.ndarray,
+    gt_bucket: np.ndarray,
+    size_filter: EvalSizeBucket | None,
 ) -> ApResult:
-    """AP at IoU 0.5, optionally restricted to one size bucket of ground truth."""
-    order, matches = match_detections(dets, gts)
+    """AP of one slice of a match vector (see the module docstring)."""
     if size_filter is None:
-        in_slice = [True] * len(gts)
+        in_slice = np.ones(len(gt_bucket), dtype=bool)
+        det_in_slice = np.ones(len(det_bucket), dtype=bool)
     else:
-        in_slice = [eval_size_bucket(gt.bbox) == size_filter for gt in gts]
-    gt_count = sum(in_slice)
+        code = _BUCKETS.index(size_filter)
+        in_slice = gt_bucket == code
+        det_in_slice = det_bucket == code
+    gt_count = int(in_slice.sum())
+    matched = match >= 0
+    # A matched detection counts only when its gt is in the slice (the
+    # appended False serves match == -1); an unmatched one only when it
+    # is itself in the slice's size bucket.
+    counted = np.where(matched, np.append(in_slice, False)[match], det_in_slice)
+    tp_flags = matched[counted]
 
-    tp_flags: list[bool] = []
-    for di, gi in zip(order, matches):
-        if gi is not None:
-            if in_slice[gi]:
-                tp_flags.append(True)
-            # Matched outside the slice: ignored entirely.
-        else:
-            det_bucket = eval_size_bucket(dets[di].bbox)
-            if size_filter is None or det_bucket == size_filter:
-                tp_flags.append(False)
-
-    tp = np.cumsum([1 if f else 0 for f in tp_flags], dtype=np.float64)
-    fp = np.cumsum([0 if f else 1 for f in tp_flags], dtype=np.float64)
+    tp = np.cumsum(tp_flags, dtype=np.float64)
+    fp = np.cumsum(~tp_flags, dtype=np.float64)
     if gt_count == 0 or tp.size == 0:
-        matched = int(tp[-1]) if tp.size else 0
+        matched_count = int(tp[-1]) if tp.size else 0
         fps = int(fp[-1]) if fp.size else 0
-        return ApResult(ap=0.0, curve=[], gt_count=gt_count, matched=matched, false_positives=fps)
+        return ApResult(ap=0.0, curve=[], gt_count=gt_count, matched=matched_count, false_positives=fps)
     recalls = tp / gt_count
     precisions = tp / (tp + fp)
     curve = list(zip(recalls.tolist(), precisions.tolist()))
@@ -196,14 +217,34 @@ def ap50(
     )
 
 
+def _slices(
+    dets: list[GlobalDetection],
+    gts: list[Annotation],
+    size_filters: tuple[EvalSizeBucket | None, ...],
+) -> list[ApResult]:
+    """Match once at IoU 0.5, then take every requested slice."""
+    boxes, scores, categories, _ = detection_columns(dets)
+    gt_boxes, gt_categories = _annotation_columns(gts)
+    order, match = _match(boxes, scores, categories, gt_boxes, gt_categories, MATCH_IOU)
+    det_bucket, gt_bucket = _size_buckets(boxes[order]), _size_buckets(gt_boxes)
+    return [_slice_ap(match, det_bucket, gt_bucket, f) for f in size_filters]
+
+
+def ap50(
+    dets: list[GlobalDetection],
+    gts: list[Annotation],
+    size_filter: EvalSizeBucket | None = None,
+) -> ApResult:
+    """AP at IoU 0.5, optionally restricted to one size bucket of ground truth."""
+    return _slices(dets, gts, (size_filter,))[0]
+
+
 def evaluate_detections(dets: list[GlobalDetection], gts: list[Annotation]) -> EvalReport:
-    """Full report: overall AP50 plus the three size-bucket slices."""
-    return EvalReport(
-        overall=ap50(dets, gts),
-        small=ap50(dets, gts, EvalSizeBucket.SMALL),
-        middle=ap50(dets, gts, EvalSizeBucket.MIDDLE),
-        large=ap50(dets, gts, EvalSizeBucket.LARGE),
+    """Full report: overall AP50 plus the three size-bucket slices, from one match."""
+    overall, small, middle, large = _slices(
+        dets, gts, (None, EvalSizeBucket.SMALL, EvalSizeBucket.MIDDLE, EvalSizeBucket.LARGE)
     )
+    return EvalReport(overall=overall, small=small, middle=middle, large=large)
 
 
 def curve_csv(result: ApResult) -> str:

@@ -405,6 +405,8 @@ class ExternalCommandDetector(DetectorAdapter):
             try:
                 pid = int(row["patch_id"])
                 x, y, w, h = (float(v) for v in row["bbox"])
+                if not all(math.isfinite(v) for v in (x, y, w, h)):
+                    raise ValueError("bbox values must be finite")
                 score = float(row["score"])
                 category = int(row.get("category", 0))
             except (KeyError, TypeError, ValueError) as exc:

@@ -12,7 +12,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import BoundingBox, SceneExtent, iou
+import numpy as np
+
+from .core import BoundingBox, SceneExtent, overlap_pairs
 from .gaze import GazeResult, NormalizedPatch, PatchDetection
 
 DEFAULT_NMS_IOU = 0.5
@@ -40,8 +42,50 @@ def to_global(det: PatchDetection, np_patch: NormalizedPatch, source: int = -1) 
     )
 
 
-def _canonical_key(d: GlobalDetection):
-    return (-d.score, d.bbox.x, d.bbox.y, d.source, d.bbox.width, d.bbox.height, d.category)
+def detection_columns(dets: list[GlobalDetection]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Boxes (n, 4), scores, categories and sources of a detection list."""
+    boxes = np.array([(d.bbox.x, d.bbox.y, d.bbox.width, d.bbox.height) for d in dets], dtype=np.float64)
+    return (
+        boxes.reshape(-1, 4),
+        np.array([d.score for d in dets], dtype=np.float64),
+        np.array([d.category for d in dets], dtype=np.int64),
+        np.array([d.source for d in dets], dtype=np.int64),
+    )
+
+
+def _check_threshold(iou_threshold: float) -> None:
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+
+
+def _nms_keep(
+    boxes: np.ndarray,
+    scores: np.ndarray,
+    categories: np.ndarray,
+    sources: np.ndarray,
+    iou_threshold: float,
+) -> list[int]:
+    """Rows that greedy NMS keeps, in canonical order.
+
+    The canonical order is (score desc, x, y, source, width, height,
+    category), stable for rows equal on all of them. A row's suppressors
+    are the same-category rows ranked before it with IoU above the
+    threshold. overlap_pairs yields them grouped by row (CSR order), so
+    one pass in rank order settles each row before any row it could
+    suppress: a row is dropped when one of its suppressors was kept.
+    """
+    ranked = np.lexsort(
+        (categories, boxes[:, 3], boxes[:, 2], sources, boxes[:, 1], boxes[:, 0], -scores)
+    )
+    cat = categories[ranked]
+    ranked_boxes = boxes[ranked]
+    i, j, v = overlap_pairs(ranked_boxes, ranked_boxes, iou_threshold)
+    hit = (j < i) & (v > iou_threshold) & (cat[i] == cat[j])
+    kept = [True] * len(ranked)
+    for row, suppressor in zip(i[hit].tolist(), j[hit].tolist()):
+        if kept[suppressor]:
+            kept[row] = False
+    return [r for r, k in zip(ranked.tolist(), kept) if k]
 
 
 def global_nms(dets: list[GlobalDetection], iou_threshold: float = DEFAULT_NMS_IOU) -> list[GlobalDetection]:
@@ -51,17 +95,34 @@ def global_nms(dets: list[GlobalDetection], iou_threshold: float = DEFAULT_NMS_I
     category with IoU strictly above the threshold. Ties are broken by
     (score desc, x asc, y asc, source asc) so output is deterministic.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    ordered = sorted(dets, key=_canonical_key)
-    kept: list[GlobalDetection] = []
-    kept_by_category: dict[int, list[GlobalDetection]] = {}
-    for det in ordered:
-        rivals = kept_by_category.setdefault(det.category, [])
-        if all(iou(det.bbox, r.bbox) <= iou_threshold for r in rivals):
-            rivals.append(det)
-            kept.append(det)
-    return kept
+    _check_threshold(iou_threshold)
+    return [dets[r] for r in _nms_keep(*detection_columns(dets), iou_threshold)]
+
+
+def _lift_and_clip(
+    results: list[GazeResult], flat: list[tuple[int, PatchDetection]], extent: SceneExtent
+) -> tuple[np.ndarray, np.ndarray]:
+    """to_global then BoundingBox.clip on every (source, detection) row, as
+    arrays: the clipped (k, 4) boxes and the indices of the k rows that
+    stay inside the scene."""
+    box = np.array([(d.bbox.x, d.bbox.y, d.bbox.width, d.bbox.height) for _, d in flat], dtype=np.float64)
+    sources = np.array([source for source, _ in flat], dtype=np.int64)
+    zoom = np.array([r.normalized.zoom for r in results], dtype=np.float64)[sources]
+    origin = np.array([(r.patch.region.x, r.patch.region.y) for r in results], dtype=np.float64)[sources]
+    x, y = box[:, 0] / zoom + origin[:, 0], box[:, 1] / zoom + origin[:, 1]
+    w, h = box[:, 2] / zoom, box[:, 3] / zoom
+    lifted = np.stack([x, y, w, h], axis=1)
+    invalid = np.flatnonzero(~(np.isfinite(lifted).all(axis=1) & (w > 0) & (h > 0)))
+    if invalid.size:
+        BoundingBox(*lifted[invalid[0]].tolist())  # raises to_global's ValueError
+    # Written as clip's max(v, 0.0) and min(edge, size) evaluate, which
+    # keep the first argument on ties (so -0.0 stays -0.0).
+    x0, y0 = np.where(x < 0.0, 0.0, x), np.where(y < 0.0, 0.0, y)
+    right, bottom = x + w, y + h
+    x1 = np.where(float(extent.width) < right, float(extent.width), right)
+    y1 = np.where(float(extent.height) < bottom, float(extent.height), bottom)
+    inside = np.flatnonzero((x1 - x0 > 0) & (y1 - y0 > 0))
+    return np.stack([x0, y0, x1 - x0, y1 - y0], axis=1)[inside], inside
 
 
 def merge_run(
@@ -69,16 +130,28 @@ def merge_run(
     extent: SceneExtent,
     iou_threshold: float = DEFAULT_NMS_IOU,
 ) -> list[GlobalDetection]:
-    """Lift all patch detections to global coordinates, clip, and suppress."""
-    flat: list[GlobalDetection] = []
-    for source, result in enumerate(results):
-        for det in result.detections:
-            g = to_global(det, result.normalized, source=source)
-            clipped = g.bbox.clip(extent)
-            if clipped is None:
-                continue
-            flat.append(GlobalDetection(bbox=clipped, score=g.score, category=g.category, source=source))
-    return global_nms(flat, iou_threshold)
+    """Lift all patch detections to global coordinates, clip, and suppress.
+
+    GlobalDetection objects are built only for the rows NMS keeps.
+    """
+    _check_threshold(iou_threshold)
+    flat = [(source, det) for source, result in enumerate(results) for det in result.detections]
+    if not flat:
+        return []
+    boxes, inside = _lift_and_clip(results, flat, extent)
+    rows = [flat[r] for r in inside.tolist()]
+    kept = _nms_keep(
+        boxes,
+        np.array([det.score for _, det in rows], dtype=np.float64),
+        np.array([det.category for _, det in rows], dtype=np.int64),
+        np.array([source for source, _ in rows], dtype=np.int64),
+        iou_threshold,
+    )
+    out = []
+    for r in kept:
+        source, det = rows[r]
+        out.append(GlobalDetection(BoundingBox(*boxes[r].tolist()), det.score, det.category, source))
+    return out
 
 
 def write_detections(path: str | Path, dets: list[GlobalDetection]) -> None:
@@ -97,17 +170,24 @@ def write_detections(path: str | Path, dets: list[GlobalDetection]) -> None:
 
 
 def read_detections(path: str | Path) -> list[GlobalDetection]:
-    """Read a detections JSON written by write_detections (or compatible)."""
+    """Read a detections JSON written by write_detections (or compatible).
+
+    Every row needs a bbox of four finite numbers with positive size and
+    a score in [0, 1]; a row that breaks this raises ValueError naming
+    its index.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         rows = json.load(fh)
+    if not isinstance(rows, list):
+        raise ValueError(f"detections file {path} must hold a JSON list")
     dets = []
-    for row in rows:
-        x, y, w, h = (float(v) for v in row["bbox"])
-        dets.append(
-            GlobalDetection(
-                bbox=BoundingBox(x, y, w, h),
-                score=float(row["score"]),
-                category=int(row.get("category", 0)),
-            )
-        )
+    for index, row in enumerate(rows):
+        try:
+            x, y, w, h = (float(v) for v in row["bbox"])
+            score = float(row["score"])
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"score {score} is outside [0, 1]")
+            dets.append(GlobalDetection(BoundingBox(x, y, w, h), score, int(row.get("category", 0))))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"detection row {index}: {exc!s}") from exc
     return dets

@@ -1,6 +1,6 @@
 import pytest
 
-from densegaze import OracleDetector, PipelineConfig, run_pipeline
+from densegaze import NoisyDetector, OracleDetector, PipelineConfig, run_pipeline
 from densegaze.synth import SceneSpec, generate_scene
 
 
@@ -35,3 +35,15 @@ def default_run(default_scene):
     annotations, extent = default_scene
     config = PipelineConfig()
     return run_pipeline(annotations, extent, config, OracleDetector(annotations))
+
+
+@pytest.fixture(scope="session")
+def noisy_crowd():
+    """1,000 objects under a jittering, missing, hallucinating detector:
+    about 1,900 raw and 1,160 merged detections. Returns (annotations,
+    extent, run)."""
+    annotations, extent = generate_scene(
+        SceneSpec(object_count=1000, foreground_fraction_target=0.07, seed=0)
+    )
+    adapter = NoisyDetector(annotations, jitter=2.0, miss_rate=0.05, fp_rate=3.0, seed=0)
+    return annotations, extent, run_pipeline(annotations, extent, PipelineConfig(), adapter)

@@ -189,6 +189,25 @@ class TestExitCodes:
             "--adapter", f"exec:{sys.executable} {script}",
         ) == 4
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_exec_box_is_adapter_error(self, scene_file, tmp_path, value):
+        script = tmp_path / "nan_detector.py"
+        script.write_text(
+            "import sys\n"
+            "open(sys.argv[2], 'w').write("
+            f"'[{{\"patch_id\": 0, \"bbox\": [{value}, 0, 10, 10], \"score\": 0.9}}]')\n"
+        )
+        assert run_cli(
+            "run", "--annotations", scene_file, "--out", tmp_path / "d.json",
+            "--adapter", f"exec:{sys.executable} {script}",
+        ) == 4
+
+    def test_out_of_range_score_in_eval_is_io_error(self, scene_file, tmp_path, capsys):
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps([{"bbox": [10.0, 10.0, 5.0, 5.0], "score": 1.7, "category": 0}]))
+        assert run_cli("eval", "--detections", dets, "--annotations", scene_file) == 3
+        assert "row 0" in capsys.readouterr().err
+
     def test_corrupt_dmap_is_io_error(self, scene_file, tmp_path):
         bad = tmp_path / "bad.dmap"
         bad.write_bytes(b"XMAP" + b"\x00" * 64)

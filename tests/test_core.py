@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from densegaze import core
 from densegaze.core import (
     BoundingBox,
     EvalSizeBucket,
@@ -12,6 +14,7 @@ from densegaze.core import (
     eval_size_bucket,
     iou,
     load_scene,
+    overlap_pairs,
     save_scene,
     scale_bucket,
 )
@@ -77,6 +80,60 @@ class TestIou:
         # Differences at or above float resolution must pull IoU under 1.
         assert iou(a, BoundingBox(a.x + dx, a.y, a.width, a.height)) < 1.0
         assert iou(a, BoundingBox(a.x, a.y, a.width + grow, a.height)) < 1.0
+
+
+def as_array(box_list):
+    return np.array([(b.x, b.y, b.width, b.height) for b in box_list], dtype=np.float64).reshape(-1, 4)
+
+
+class TestOverlapPairs:
+    @given(a=st.lists(boxes, max_size=12), b=st.lists(boxes, max_size=12), shared=st.integers(0, 4))
+    def test_equals_iou_on_every_pair(self, a, b, shared):
+        b = a[:shared] + b  # exact duplicates take iou's a == b shortcut
+        i, j, v = overlap_pairs(as_array(a), as_array(b))
+        expected = {
+            (p, q): iou(a[p], b[q])
+            for p in range(len(a))
+            for q in range(len(b))
+            if iou(a[p], b[q]) != 0.0
+        }
+        assert dict(zip(zip(i.tolist(), j.tolist()), v.tolist())) == expected
+        assert list(zip(i.tolist(), j.tolist())) == sorted(expected)
+
+    def test_equal_boxes_whose_right_rounds_onto_x(self):
+        # At x = 1e17 a width of 1 vanishes from x + w; iou still says 1.0.
+        box = BoundingBox(1e17, 0.0, 1.0, 5.0)
+        assert box.right == box.x and iou(box, box) == 1.0
+        i, j, v = overlap_pairs(as_array([box]), as_array([box]))
+        assert (i.tolist(), j.tolist(), v.tolist()) == ([0], [0], [1.0])
+
+    def test_empty_inputs(self):
+        one = as_array([BoundingBox(0, 0, 1, 1)])
+        for a, b in ((np.empty((0, 4)), one), (one, np.empty((0, 4)))):
+            i, j, v = overlap_pairs(a, b)
+            assert i.size == j.size == v.size == 0
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 12])
+    def test_chunked_sweep_against_brute_force(self, monkeypatch, chunk):
+        monkeypatch.setattr(core, "_SWEEP_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        def boxes_array(n):
+            return np.column_stack([rng.uniform(0, 2e4, (n, 2)), rng.uniform(1, 3e3, (n, 2))])
+
+        a = boxes_array(150)
+        b = np.vstack([a[:30], boxes_array(120)])
+        expected = {}
+        for p in range(len(a)):
+            for q in range(len(b)):
+                r = iou(BoundingBox(*a[p]), BoundingBox(*b[q]))
+                if r != 0.0:
+                    expected[(p, q)] = r
+        i, j, v = overlap_pairs(a, b)
+        assert dict(zip(zip(i.tolist(), j.tolist()), v.tolist())) == expected
+        i, j, v = overlap_pairs(a, b, min_iou=0.5)
+        assert dict(zip(zip(i.tolist(), j.tolist()), v.tolist())) == {
+            k: r for k, r in expected.items() if r >= 0.5
+        }
 
 
 class TestScaleBucket:

@@ -1,16 +1,29 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from densegaze.core import Annotation, BoundingBox, EvalSizeBucket, ScaleLevel, SceneExtent
+from densegaze.core import (
+    Annotation,
+    BoundingBox,
+    EvalSizeBucket,
+    ScaleLevel,
+    SceneExtent,
+    eval_size_bucket,
+    iou,
+)
 from densegaze.density import render_gt_density
 from densegaze.evaluate import (
+    ApResult,
     BudgetReport,
+    EvalReport,
+    _interpolated_ap,
     ap50,
     compare_budgets,
     curve_csv,
     evaluate_detections,
+    match_detections,
     pixel_budget,
     sliding_window_patches,
     sliding_window_run,
@@ -30,6 +43,62 @@ def det(x, y, w, h, score, category=0):
 
 def spread_gts(n, side=50.0):
     return [gt(200.0 * i, 100.0, side, side, gt_id=i) for i in range(n)]
+
+
+def reference_match(dets, gts, iou_threshold=0.5):
+    """Independent quadratic greedy matcher used as the oracle."""
+    order = sorted(
+        range(len(dets)),
+        key=lambda i: (-dets[i].score, dets[i].bbox.x, dets[i].bbox.y,
+                       dets[i].bbox.width, dets[i].bbox.height),
+    )
+    taken = [False] * len(gts)
+    matches = []
+    for di in order:
+        best, best_iou = None, 0.0
+        for gi, g in enumerate(gts):
+            if taken[gi] or g.category != dets[di].category:
+                continue
+            overlap = iou(dets[di].bbox, g.bbox)
+            if overlap >= iou_threshold and overlap > best_iou:
+                best, best_iou = gi, overlap
+        if best is not None:
+            taken[best] = True
+        matches.append(best)
+    return order, matches
+
+
+def reference_slice(dets, gts, order, matches, size_filter=None):
+    """One AP slice of a reference match, object by object."""
+    in_slice = [size_filter is None or eval_size_bucket(g.bbox) == size_filter for g in gts]
+    flags = []
+    for di, gi in zip(order, matches):
+        if gi is not None:
+            if in_slice[gi]:
+                flags.append(True)
+        elif size_filter is None or eval_size_bucket(dets[di].bbox) == size_filter:
+            flags.append(False)
+    tp = np.cumsum([1 if f else 0 for f in flags], dtype=np.float64)
+    fp = np.cumsum([0 if f else 1 for f in flags], dtype=np.float64)
+    gt_count = sum(in_slice)
+    if gt_count == 0 or tp.size == 0:
+        return ApResult(0.0, [], gt_count, int(tp[-1]) if tp.size else 0, int(fp[-1]) if fp.size else 0)
+    recalls, precisions = tp / gt_count, tp / (tp + fp)
+    return ApResult(
+        _interpolated_ap(recalls, precisions),
+        list(zip(recalls.tolist(), precisions.tolist())),
+        gt_count,
+        int(tp[-1]),
+        int(fp[-1]),
+    )
+
+
+def reference_report(dets, gts):
+    order, matches = reference_match(dets, gts)
+    return EvalReport(
+        *(reference_slice(dets, gts, order, matches, f)
+          for f in (None, EvalSizeBucket.SMALL, EvalSizeBucket.MIDDLE, EvalSizeBucket.LARGE))
+    )
 
 
 class TestAp50:
@@ -104,6 +173,64 @@ class TestAp50:
         assert result.matched == 1
         # The detection overlaps gt 1 more than gt 0; gt 0 stays free.
         assert ap50(dets + [det(0, 0, 100, 100, 0.9)], gts).matched == 2
+
+
+class TestAgainstReference:
+    def _check(self, dets, gts):
+        report = evaluate_detections(dets, gts)
+        expected = reference_report(dets, gts)
+        assert report.to_json_dict() == expected.to_json_dict()
+        assert curve_csv(report.overall) == curve_csv(expected.overall)
+        assert report == expected  # every slice's curve too
+        assert match_detections(dets, gts) == reference_match(dets, gts)
+
+    def test_stock_scene(self, default_scene, default_run):
+        self._check(default_run.detections, default_scene[0])
+
+    def test_noisy_crowd(self, noisy_crowd):
+        annotations, _, run = noisy_crowd
+        self._check(run.detections, annotations)
+
+    def test_equal_iou_goes_to_lowest_gt_index(self):
+        # The detection overlaps both gts 9x10 (IoU 90/110); gt 0 wins.
+        gts = [gt(0, 0, 10, 10, gt_id=0), gt(2, 0, 10, 10, gt_id=1)]
+        dets = [det(1, 0, 10, 10, 0.9), det(1, 0, 10, 10, 0.8)]
+        assert match_detections(dets, gts) == ([0, 1], [0, 1])
+        assert match_detections(dets, gts[::-1]) == ([0, 1], [0, 1])
+        duplicate_gts = [gt(1, 0, 10, 10, gt_id=k) for k in range(3)]
+        assert match_detections(dets, duplicate_gts) == ([0, 1], [0, 1])
+        self._check(dets, gts)
+
+    def test_ties_duplicates_and_categories(self):
+        rng = np.random.default_rng(8)
+        for trial in range(30):
+            gts = [
+                gt(float(rng.integers(0, 40)) * 10, float(rng.integers(0, 40)) * 10,
+                   float(rng.choice([30, 120, 320])), float(rng.choice([30, 120, 320])),
+                   gt_id=k, category=int(rng.integers(2)))
+                for k in range(25)
+            ]
+            dets = [
+                det(g.bbox.x + float(rng.choice([0, 5, -5])), g.bbox.y, g.bbox.width, g.bbox.height,
+                    float(rng.choice([0.3, 0.6, 0.9])), category=g.category)
+                for g in gts if rng.random() < 0.8
+            ]
+            dets += dets[: trial % 4]  # exact duplicates compete for one gt
+            self._check(dets, gts)
+
+
+def test_merge_and_eval_memory_is_sparse(noisy_crowd):
+    # A dense detections x ground-truth float64 matrix here is about 9.5 MB.
+    annotations, extent, run = noisy_crowd
+    tracemalloc.start()
+    try:
+        dets = merge_run(run.gaze_results, extent)
+        evaluate_detections(dets, annotations)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dets == run.detections
+    assert peak < 4_000_000
 
 
 class TestSizeBuckets:

@@ -1,9 +1,20 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densegaze.core import Annotation, BoundingBox, ScaleLevel, SceneExtent, iou
 from densegaze.density import render_gt_density
-from densegaze.gaze import OracleDetector, PatchDetection, normalize, run_gaze
+from densegaze.gaze import (
+    GazeResult,
+    NoisyDetector,
+    OracleDetector,
+    PatchDetection,
+    normalize,
+    run_gaze,
+)
 from densegaze.merge import (
     GlobalDetection,
     global_nms,
@@ -36,6 +47,49 @@ def reference_nms(dets, threshold):
         if not suppressed:
             kept.append(i)
     return [dets[i] for i in kept]
+
+
+def reference_merge(results, extent, threshold=0.5):
+    """Per-object lift and clip through to_global and BoundingBox.clip, then reference_nms."""
+    flat = []
+    for source, result in enumerate(results):
+        for d in result.detections:
+            g = to_global(d, result.normalized, source=source)
+            clipped = g.bbox.clip(extent)
+            if clipped is not None:
+                flat.append(GlobalDetection(clipped, g.score, g.category, source))
+    return reference_nms(flat, threshold)
+
+
+# Origins on a small integer grid give shared edges; the 2.6e4 origin is
+# where x + w rounds, which iou's extent caps exist for.
+_origin = st.sampled_from([0.0, 26_000.0, 26_366.5])
+_offset = st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 30.0))
+_extent = st.one_of(st.integers(1, 12).map(float), st.floats(1e-3, 12.0))
+
+
+@st.composite
+def detection_sets(draw):
+    origin = draw(_origin)
+    shapes = draw(
+        st.lists(st.tuples(_offset, _offset, _extent, _extent), min_size=1, max_size=10)
+    )
+    # Picking shapes with replacement makes exact duplicate boxes.
+    picks = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(shapes) - 1),
+                st.sampled_from([0.25, 0.5, 1.0]),
+                st.integers(0, 1),
+                st.integers(0, 2),
+            ),
+            max_size=30,
+        )
+    )
+    return [
+        det(origin + shapes[k][0], origin + shapes[k][1], shapes[k][2], shapes[k][3], score, category, source)
+        for k, score, category, source in picks
+    ]
 
 
 def random_detections(rng, n, span=1000.0, categories=1):
@@ -138,6 +192,12 @@ class TestGlobalNms:
         with pytest.raises(ValueError):
             global_nms([], 0.0)
 
+    @pytest.mark.parametrize("threshold", [1 / 3, 0.5, 1.0])
+    @settings(max_examples=150, deadline=None)
+    @given(dets=detection_sets())
+    def test_property_matches_reference(self, threshold, dets):
+        assert global_nms(dets, threshold) == reference_nms(dets, threshold)
+
 
 class TestMergeRun:
     def test_empty(self):
@@ -192,6 +252,40 @@ class TestMergeRun:
             assert best_iou >= 0.99 or clipped_at_patch_edge(best_det)
         assert all(d.bbox.clip(extent) == d.bbox for d in merged)
 
+    def test_matches_per_object_reference(self, small_scene):
+        annotations, extent = small_scene
+        dset = render_gt_density(annotations, extent)
+        patches = saccade(dset, extent=extent)
+        adapter = NoisyDetector(annotations, jitter=3.0, miss_rate=0.1, fp_rate=2.0, seed=1)
+        results = run_gaze(patches, adapter, (1978, 1124))
+        for threshold in (1 / 3, 0.5):
+            assert merge_run(results, extent, threshold) == reference_merge(results, extent, threshold)
+
+    def test_clips_to_scene_like_boundingbox_clip(self):
+        extent = SceneExtent(100, 80)
+        patches = [
+            Patch(ScaleLevel.TINY, 0, 0, BoundingBox(0, 0, 50, 80), 1.0),
+            Patch(ScaleLevel.TINY, 1, 0, BoundingBox(50, 10, 50, 70), 1.0),
+        ]
+        dets = [
+            [PatchDetection(BoundingBox(-5, -3, 20, 10), 0.9),
+             PatchDetection(BoundingBox(-50, 0, 10, 10), 0.8)],  # wholly outside
+            [PatchDetection(BoundingBox(30, 60, 40, 30), 0.7),
+             PatchDetection(BoundingBox(20, 5, 10, 10), 0.6)],
+        ]
+        results = [GazeResult(normalize(p, (50, 80)), d) for p, d in zip(patches, dets)]
+        merged = merge_run(results, extent)
+        assert merged == reference_merge(results, extent)
+        assert [d.bbox for d in merged] == [
+            BoundingBox(0.0, 0.0, 15.0, 7.0),
+            BoundingBox(80.0, 70.0, 20.0, 10.0),
+            BoundingBox(70.0, 15.0, 10.0, 10.0),
+        ]
+
+    def test_noisy_crowd_matches_reference(self, noisy_crowd):
+        _, extent, run = noisy_crowd
+        assert run.detections == reference_merge(run.gaze_results, extent)
+
     def test_worker_count_invariance(self, small_scene):
         annotations, extent = small_scene
         dset = render_gt_density(annotations, extent)
@@ -217,3 +311,33 @@ class TestDetectionsIo:
             assert a.bbox == b.bbox
             assert a.score == b.score
             assert a.category == b.category
+
+    def _write(self, tmp_path, rows):
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps(rows))
+        return path
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"bbox": [0, 0, 5, 5], "score": 1.7}, "score 1.7 is outside"),
+            ({"bbox": [0, 0, 5, 5], "score": -0.1}, "score -0.1 is outside"),
+            ({"bbox": [0, 0, 5, 5], "score": float("nan")}, "score nan is outside"),
+            ({"bbox": [float("nan"), 0, 5, 5], "score": 0.5}, "must be finite"),
+            ({"bbox": [0, float("inf"), 5, 5], "score": 0.5}, "must be finite"),
+            ({"bbox": [0, 0, 0, 5], "score": 0.5}, "must be positive"),
+            ({"bbox": [0, 0, 5], "score": 0.5}, "not enough values"),
+            ({"score": 0.5}, "'bbox'"),
+        ],
+    )
+    def test_rejects_invalid_row_naming_its_index(self, tmp_path, bad, message):
+        good = {"bbox": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "category": 0}
+        path = self._write(tmp_path, [good, good, bad])
+        with pytest.raises(ValueError, match=f"^detection row 2: .*{re.escape(message)}"):
+            read_detections(path)
+
+    def test_accepts_score_bounds(self, tmp_path):
+        path = self._write(
+            tmp_path, [{"bbox": [0, 0, 1, 1], "score": 0.0}, {"bbox": [0, 0, 1, 1], "score": 1}]
+        )
+        assert [d.score for d in read_detections(path)] == [0.0, 1.0]
