@@ -157,13 +157,41 @@ class GaussianStamp:
         return (int(math.floor(cx)) - self.radius, int(math.floor(cy)) - self.radius)
 
 
+def _sigma_pixels(side):
+    """sigma_for's rule on a longest side, or an array of them, as floats."""
+    return np.maximum(side // 3, 1.0)
+
+
 def sigma_for(box: BoundingBox) -> int:
     """Kernel width in original-image pixels: longest side over three.
 
     Integer (floor) division, clamped to at least 1 pixel so degenerate
     boxes still render a representable blob.
     """
-    return max(1, int(box.max_side // 3))
+    return int(_sigma_pixels(box.max_side))
+
+
+def _kernels(cx: np.ndarray, cy: np.ndarray, sigma: np.ndarray, radius: int) -> np.ndarray:
+    """Truncated unit-mass kernels, (n, 2r+1, 2r+1), for n blob centers in
+    map cells that share one radius r; sigma is already clamped.
+
+    Each kernel is evaluated at the cell centers of its support window and
+    divided by its own sum, exactly as one stamp on its own would be.
+    """
+    offsets = np.arange(-radius, radius + 1)
+    xs = (np.floor(cx)[:, None] + offsets) + 0.5 - cx[:, None]
+    ys = (np.floor(cy)[:, None] + offsets) + 0.5 - cy[:, None]
+    kernels = ys[:, :, None] ** 2 + xs[:, None, :] ** 2
+    np.negative(kernels, out=kernels)
+    np.divide(kernels, (2.0 * sigma * sigma)[:, None, None], out=kernels)
+    np.exp(kernels, out=kernels)
+    kernels /= kernels.reshape(len(kernels), -1).sum(axis=1)[:, None, None]
+    return kernels
+
+
+def _radii(sigma: np.ndarray) -> np.ndarray:
+    """Support half-widths for clamped sigmas: three sigma, rounded up."""
+    return np.ceil(3.0 * sigma).astype(np.int64)
 
 
 def make_stamp(center: tuple[float, float], sigma: float) -> GaussianStamp:
@@ -173,28 +201,17 @@ def make_stamp(center: tuple[float, float], sigma: float) -> GaussianStamp:
     least a few cells regardless of downsampling.
     """
     sigma = max(float(sigma), 1.0)
-    radius = int(math.ceil(3.0 * sigma))
+    radius = int(_radii(np.array([sigma]))[0])
     cx, cy = center
-    ix = math.floor(cx)
-    iy = math.floor(cy)
-    xs = np.arange(ix - radius, ix + radius + 1, dtype=np.float64) + 0.5 - cx
-    ys = np.arange(iy - radius, iy + radius + 1, dtype=np.float64) + 0.5 - cy
-    kernel = np.exp(-(ys[:, None] ** 2 + xs[None, :] ** 2) / (2.0 * sigma * sigma))
-    kernel /= kernel.sum()
-    return GaussianStamp(center=(cx, cy), sigma=sigma, radius=radius, weights=kernel)
+    weights = _kernels(
+        np.array([cx], dtype=np.float64), np.array([cy], dtype=np.float64), np.array([sigma]), radius
+    )[0]
+    return GaussianStamp(center=(cx, cy), sigma=sigma, radius=radius, weights=weights)
 
 
-def _splat(accumulator: np.ndarray, stamp: GaussianStamp) -> None:
-    """Add a stamp to an accumulator, dropping mass outside the raster."""
-    h, w = accumulator.shape
-    x0, y0 = stamp.origin
-    k = stamp.weights
-    kh, kw = k.shape
-    ax0, ay0 = max(x0, 0), max(y0, 0)
-    ax1, ay1 = min(x0 + kw, w), min(y0 + kh, h)
-    if ax0 >= ax1 or ay0 >= ay1:
-        return
-    accumulator[ay0:ay1, ax0:ax1] += k[ay0 - y0 : ay1 - y0, ax0 - x0 : ax1 - x0]
+# Kernel cells evaluated at once: annotations are rendered in chunks of
+# about this many cells, so at most one chunk's kernels exist at a time.
+_CHUNK_CELLS = 1 << 15
 
 
 def render_gt_density(
@@ -207,6 +224,9 @@ def render_gt_density(
 
     Each annotation contributes one unit-mass stamp to the map of its
     bucket; an annotation whose center lies outside the scene is rejected.
+    Kernels are evaluated in batches that share a radius, and every map
+    cell receives its contributions in annotation order, so the maps do
+    not depend on how annotations are batched.
     """
     if downsample < 1:
         raise ValueError(f"downsample must be >= 1, got {downsample}")
@@ -214,15 +234,50 @@ def render_gt_density(
     map_h = int(math.ceil(extent.height / downsample))
     planes = [np.zeros((map_h, map_w), dtype=np.float64) for _ in ScaleLevel]
 
-    for ann in annotations:
-        cx, cy = ann.bbox.center
-        if not extent.contains_point(cx, cy):
-            raise ValueError(
-                f"annotation {ann.id} center ({cx:.1f}, {cy:.1f}) lies outside the scene"
-            )
-        sigma_map = sigma_for(ann.bbox) / downsample
-        stamp = make_stamp((cx / downsample, cy / downsample), sigma_map)
-        _splat(planes[int(scale_bucket(ann.bbox, boundaries))], stamp)
+    boxes = np.array(
+        [(a.bbox.x, a.bbox.y, a.bbox.width, a.bbox.height) for a in annotations], dtype=np.float64
+    ).reshape(-1, 4)
+    x, y, w, h = boxes.T
+    cx, cy = x + w / 2.0, y + h / 2.0
+    outside = np.flatnonzero(
+        ~((0.0 <= cx) & (cx <= extent.width) & (0.0 <= cy) & (cy <= extent.height))
+    )
+    first_outside = int(outside[0]) if outside.size else len(annotations)
+    if first_outside > 0:
+        scale_bucket(annotations[0].bbox, boundaries)  # rejects non-increasing boundaries
+    if first_outside < len(annotations):
+        ann = annotations[first_outside]
+        bx, by = ann.bbox.center
+        raise ValueError(f"annotation {ann.id} center ({bx:.1f}, {by:.1f}) lies outside the scene")
+
+    side = np.maximum(w, h)
+    bucket = np.searchsorted(np.asarray(boundaries, dtype=np.float64), side, side="right").tolist()
+    # sigma_for in map cells, clamped as make_stamp clamps it.
+    sigma = np.maximum(_sigma_pixels(side) / downsample, 1.0)
+    radius = _radii(sigma)
+    cx, cy = cx / downsample, cy / downsample
+    # Clip each support window to the raster: [x0, x1) x [y0, y1) in map
+    # cells, and the window's offset into its kernel.
+    left, top = np.floor(cx).astype(np.int64) - radius, np.floor(cy).astype(np.int64) - radius
+    span = 2 * radius + 1
+    x0, y0 = np.maximum(left, 0), np.maximum(top, 0)
+    x1, y1 = np.minimum(left + span, map_w), np.minimum(top + span, map_h)
+    windows = np.stack([x0, x1, y0, y1, x0 - left, x1 - left, y0 - top, y1 - top], axis=1).tolist()
+
+    chunk_of = (np.cumsum(span * span) - span * span) // _CHUNK_CELLS
+    starts = np.flatnonzero(np.diff(chunk_of, prepend=-1)).tolist() + [len(annotations)]
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        order = lo + np.argsort(radius[lo:hi], kind="stable")
+        cuts = np.flatnonzero(np.diff(radius[order])) + 1
+        kernels: list = [None] * (hi - lo)
+        for group in np.split(order, cuts):
+            batch = _kernels(cx[group], cy[group], sigma[group], int(radius[group[0]]))
+            for i, kernel in zip(group.tolist(), batch):
+                kernels[i - lo] = kernel
+        for i in range(lo, hi):
+            ax0, ax1, ay0, ay1, kx0, kx1, ky0, ky1 = windows[i]
+            if ax0 < ax1 and ay0 < ay1:
+                planes[bucket[i]][ay0:ay1, ax0:ax1] += kernels[i - lo][ky0:ky1, kx0:kx1]
 
     return DensityMapSet(
         maps=tuple(DensityMap(values=p, downsample=float(downsample)) for p in planes)

@@ -301,7 +301,8 @@ def run_gaze(
 
     Worker count affects scheduling only, never results. Adapter failures
     are re-raised as AdapterError carrying the first failing patch in
-    input order.
+    input order; a failing detect_batch call, which has no one patch to
+    blame, is re-raised as an AdapterError without one.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -309,7 +310,13 @@ def run_gaze(
 
     batch = getattr(adapter, "detect_batch", None)
     if batch is not None:
-        return [GazeResult(np_p, dets) for np_p, dets in zip(normalized, batch(normalized))]
+        try:
+            outputs = list(batch(normalized))
+        except Exception as exc:
+            raise AdapterError(f"detector failed on a batch of {len(normalized)} patches: {exc}") from exc
+        if len(outputs) != len(normalized):
+            raise AdapterError(f"detector returned {len(outputs)} results for {len(normalized)} patches")
+        return [GazeResult(np_p, dets) for np_p, dets in zip(normalized, outputs)]
 
     def call(np_patch: NormalizedPatch) -> list[PatchDetection]:
         return adapter.detect(np_patch)

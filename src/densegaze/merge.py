@@ -9,6 +9,7 @@ processing order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,19 +155,37 @@ def merge_run(
     return out
 
 
+def _json_number(v) -> str:
+    """A number as json.dump writes it: floats by float.__repr__, with NaN
+    and the infinities spelled as JSON does; anything else through json."""
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v == math.inf:
+            return "Infinity"
+        if v == -math.inf:
+            return "-Infinity"
+        return float.__repr__(v)
+    return json.dumps(v)
+
+
 def write_detections(path: str | Path, dets: list[GlobalDetection]) -> None:
-    """Write the final detections JSON (a list of bbox/score/category rows)."""
-    rows = [
-        {
-            "bbox": [d.bbox.x, d.bbox.y, d.bbox.width, d.bbox.height],
-            "score": d.score,
-            "category": d.category,
-        }
-        for d in dets
-    ]
+    """Write the final detections JSON (a list of bbox/score/category rows).
+
+    The bytes are those of json.dump(rows, indent=1) plus a newline; the
+    fixed row layout is written directly rather than through the
+    pure-Python indenting encoder.
+    """
+    num = _json_number
+    rows = []
+    for d in dets:
+        b = d.bbox
+        rows.append(
+            ' {\n  "bbox": [\n   %s,\n   %s,\n   %s,\n   %s\n  ],\n  "score": %s,\n  "category": %s\n }'
+            % (num(b.x), num(b.y), num(b.width), num(b.height), num(d.score), num(d.category))
+        )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=1)
-        fh.write("\n")
+        fh.write("[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n")
 
 
 def read_detections(path: str | Path) -> list[GlobalDetection]:

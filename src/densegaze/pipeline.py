@@ -38,8 +38,10 @@ def run_pipeline(
     The density stage renders ground-truth maps from the annotations
     unless a pre-computed (e.g. model-predicted) map set is supplied.
     The budget ratio compares against a threshold-free sliding window on
-    the tiny grid, the densest baseline.
+    the tiny grid, the densest baseline. The budget's wall_seconds times
+    the whole run, density through merge.
     """
+    start = time.perf_counter()
     if density is None:
         density = render_gt_density(annotations, extent, config.downsample, config.boundaries)
     standard_size = config.resolve_standard_size(extent)
@@ -51,7 +53,6 @@ def run_pipeline(
         expansion=config.expansion,
         extent=extent,
     )
-    start = time.perf_counter()
     gaze_results = run_gaze(patches, adapter, standard_size, workers=config.workers)
     detections = merge_run(gaze_results, extent, config.nms_iou)
     elapsed = time.perf_counter() - start

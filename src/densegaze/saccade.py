@@ -92,37 +92,86 @@ def _axis_bounds(map_cells: int, grid_cells: int) -> list[int]:
     return [(i * map_cells) // grid_cells for i in range(grid_cells + 1)]
 
 
-def grid_densities(dmap: DensityMap, grid: GridSpec, extent: SceneExtent) -> list[CellDensity]:
-    """Integrate the map over each grid cell; cells ordered row-major (iy, ix)."""
+def _grid_bounds(dmap: DensityMap, grid: GridSpec, extent: SceneExtent) -> tuple[list[int], list[int]]:
+    """Cell boundaries (xs, ys) in map cells, checked against the map and scene."""
     if grid.cells_x > dmap.width or grid.cells_y > dmap.height:
         raise ValueError(
             f"grid {grid.cells_x}x{grid.cells_y} is finer than the {dmap.width}x{dmap.height} map"
         )
-    integral = build_integral(dmap)
     xs = _axis_bounds(dmap.width, grid.cells_x)
     ys = _axis_bounds(dmap.height, grid.cells_y)
-    d = dmap.downsample
+    # The last row and column start furthest out: if they start inside the
+    # scene, every cell region has positive size.
+    if xs[-2] * dmap.downsample >= extent.width or ys[-2] * dmap.downsample >= extent.height:
+        raise ValueError(
+            f"{dmap.width}x{dmap.height} map at downsample {dmap.downsample} overruns "
+            f"the {extent.width}x{extent.height} scene"
+        )
+    return xs, ys
 
-    cells: list[CellDensity] = []
-    for iy in range(grid.cells_y):
-        y0, y1 = ys[iy], ys[iy + 1]
-        ry0 = y0 * d
-        ry1 = min(y1 * d, float(extent.height))
-        for ix in range(grid.cells_x):
-            x0, x1 = xs[ix], xs[ix + 1]
-            rx0 = x0 * d
-            rx1 = min(x1 * d, float(extent.width))
-            region = BoundingBox(rx0, ry0, rx1 - rx0, ry1 - ry0)
-            cells.append(
-                CellDensity(
-                    scale=grid.scale,
-                    ix=ix,
-                    iy=iy,
-                    region=region,
-                    density=integral.rect_sum(x0, y0, x1, y1),
-                )
-            )
-    return cells
+
+def _cell_region(
+    xs: list[int], ys: list[int], ix: int, iy: int, downsample: float, extent: SceneExtent
+) -> BoundingBox:
+    """Footprint of cell (ix, iy) in original-image pixels, clipped to the scene."""
+    rx0, ry0 = xs[ix] * downsample, ys[iy] * downsample
+    rx1 = min(xs[ix + 1] * downsample, float(extent.width))
+    ry1 = min(ys[iy + 1] * downsample, float(extent.height))
+    return BoundingBox(rx0, ry0, rx1 - rx0, ry1 - ry0)
+
+
+# Map cells folded per step into the running column sums (256 KB of rows).
+_FOLD_CELLS = 1 << 15
+
+
+def _cell_sums(values: np.ndarray, xs: list[int], ys: list[int]) -> np.ndarray:
+    """Every cell's build_integral(...).rect_sum, (len(ys)-1, len(xs)-1),
+    equal bit for bit, from only the table rows at the y boundaries.
+
+    A table row is the cumsum along x of the running column sums, and
+    cumsum along y folds the rows into those sums one at a time. The fold
+    here keeps that order: each step reduces the running sums followed by
+    the next rows of the map, stacked in a buffer at least two columns
+    wide, because a one-column reduce would sum its rows pairwise.
+    """
+    h, w = values.shape
+    step = max(1, _FOLD_CELLS // w)
+    stack = np.zeros((step + 1, max(w, 2)), dtype=np.float64)
+    running = np.zeros(stack.shape[1], dtype=np.float64)
+    running[:w] = values[0]
+    done = 1
+    row = np.zeros(w + 1, dtype=np.float64)
+    corners = np.zeros((len(ys), len(xs)), dtype=np.float64)
+    for k, y in enumerate(ys[1:], start=1):
+        while done < y:
+            rows = min(step, y - done)
+            stack[0] = running
+            stack[1 : rows + 1, :w] = values[done : done + rows]
+            np.add.reduce(stack[: rows + 1], axis=0, out=running)
+            done += rows
+        np.cumsum(running[:w], out=row[1:])
+        corners[k] = row[xs]
+    s = ((corners[1:, 1:] - corners[:-1, 1:]) - corners[1:, :-1]) + corners[:-1, :-1]
+    # rect_sum's max(s, 0.0): cancellation can leave a tiny negative
+    # residue on zero regions; -0.0 and NaN pass through as max keeps them.
+    return np.where(0.0 > s, 0.0, s)
+
+
+def grid_densities(dmap: DensityMap, grid: GridSpec, extent: SceneExtent) -> list[CellDensity]:
+    """Integrate the map over each grid cell; cells ordered row-major (iy, ix)."""
+    xs, ys = _grid_bounds(dmap, grid, extent)
+    densities = _cell_sums(dmap.values, xs, ys).tolist()
+    return [
+        CellDensity(
+            scale=grid.scale,
+            ix=ix,
+            iy=iy,
+            region=_cell_region(xs, ys, ix, iy, dmap.downsample, extent),
+            density=densities[iy][ix],
+        )
+        for iy in range(grid.cells_y)
+        for ix in range(grid.cells_x)
+    ]
 
 
 def expand_and_clip(region: BoundingBox, expansion: float, extent: SceneExtent) -> BoundingBox:
@@ -137,6 +186,15 @@ def expand_and_clip(region: BoundingBox, expansion: float, extent: SceneExtent) 
     return BoundingBox(x0, y0, x1 - x0, y1 - y0)
 
 
+def _check_selection(threshold: float, expansion: float, extent: SceneExtent | None) -> None:
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if expansion < 1:
+        raise ValueError(f"expansion must be >= 1, got {expansion}")
+    if extent is None:
+        raise ValueError("select_patches requires the scene extent for clipping")
+
+
 def select_patches(
     cells: list[CellDensity],
     threshold: float = DEFAULT_DENSITY_THRESHOLD,
@@ -149,12 +207,7 @@ def select_patches(
     any mass. Patches clipped at a scene border keep their clipped region
     and are not re-centered. Output is ordered by (scale, iy, ix).
     """
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    if expansion < 1:
-        raise ValueError(f"expansion must be >= 1, got {expansion}")
-    if extent is None:
-        raise ValueError("select_patches requires the scene extent for clipping")
+    _check_selection(threshold, expansion, extent)
     selected = [c for c in cells if c.density > threshold]
     selected.sort(key=lambda c: (int(c.scale), c.iy, c.ix))
     return [
@@ -176,15 +229,26 @@ def saccade(
     expansion: float = DEFAULT_EXPANSION,
     extent: SceneExtent | None = None,
 ) -> list[Patch]:
-    """Run patch selection over all four scales; output ordered TINY..LARGE."""
+    """Run patch selection over all four scales; output ordered TINY..LARGE.
+
+    The same patches as select_patches over grid_densities, but regions
+    are built only for the cells above the threshold.
+    """
     if extent is None:
         raise ValueError("saccade requires the scene extent")
     if grids is None:
         grids = default_grids()
+    _check_selection(threshold, expansion, extent)
     patches: list[Patch] = []
     for scale in ScaleLevel:
-        cells = grid_densities(dset[scale], grids[scale], extent)
-        patches.extend(select_patches(cells, threshold, expansion, extent))
+        dmap = dset[scale]
+        xs, ys = _grid_bounds(dmap, grids[scale], extent)
+        densities = _cell_sums(dmap.values, xs, ys)
+        for iy, ix in zip(*(axis.tolist() for axis in np.nonzero(densities > threshold))):
+            region = _cell_region(xs, ys, ix, iy, dmap.downsample, extent)
+            patches.append(
+                Patch(scale, ix, iy, expand_and_clip(region, expansion, extent), float(densities[iy, ix]))
+            )
     return patches
 
 

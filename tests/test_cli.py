@@ -189,6 +189,13 @@ class TestExitCodes:
             "--adapter", f"exec:{sys.executable} {script}",
         ) == 4
 
+    def test_missing_exec_command_is_adapter_error(self, scene_file, tmp_path, capsys):
+        assert run_cli(
+            "run", "--annotations", scene_file, "--out", tmp_path / "d.json",
+            "--adapter", "exec:/nonexistent/detector",
+        ) == 4
+        assert "adapter error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_exec_box_is_adapter_error(self, scene_file, tmp_path, value):
         script = tmp_path / "nan_detector.py"

@@ -1,9 +1,13 @@
+import math
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from densegaze.core import Annotation, BoundingBox, ScaleLevel, SceneExtent
+from densegaze.core import Annotation, BoundingBox, ScaleLevel, SceneExtent, scale_bucket
 from densegaze.density import (
     DensityMap,
     DensityMapSet,
@@ -28,6 +32,84 @@ EXTENT = SceneExtent(4096, 4096)
 
 def ann(x, y, w, h, ann_id=0):
     return Annotation(id=ann_id, bbox=BoundingBox(x, y, w, h))
+
+
+def reference_stamp(center, sigma):
+    """The per-stamp kernel: sigma clamped to 1, support ceil(3 sigma),
+    evaluated at cell centers and renormalized to unit mass."""
+    sigma = max(float(sigma), 1.0)
+    radius = int(math.ceil(3.0 * sigma))
+    cx, cy = center
+    ix = math.floor(cx)
+    iy = math.floor(cy)
+    xs = np.arange(ix - radius, ix + radius + 1, dtype=np.float64) + 0.5 - cx
+    ys = np.arange(iy - radius, iy + radius + 1, dtype=np.float64) + 0.5 - cy
+    kernel = np.exp(-(ys[:, None] ** 2 + xs[None, :] ** 2) / (2.0 * sigma * sigma))
+    kernel /= kernel.sum()
+    return ix - radius, iy - radius, kernel
+
+
+def reference_render(annotations, extent, downsample=32.0, boundaries=(800.0, 1600.0, 3200.0)):
+    """render_gt_density one annotation at a time: a stamp added to its
+    bucket's plane with one clipped slice +=, in annotation order."""
+    map_w = int(math.ceil(extent.width / downsample))
+    map_h = int(math.ceil(extent.height / downsample))
+    planes = [np.zeros((map_h, map_w), dtype=np.float64) for _ in ScaleLevel]
+    for ann in annotations:
+        cx, cy = ann.bbox.center
+        if not extent.contains_point(cx, cy):
+            raise ValueError(
+                f"annotation {ann.id} center ({cx:.1f}, {cy:.1f}) lies outside the scene"
+            )
+        sigma_map = sigma_for(ann.bbox) / downsample
+        x0, y0, k = reference_stamp((cx / downsample, cy / downsample), sigma_map)
+        plane = planes[int(scale_bucket(ann.bbox, boundaries))]
+        kh, kw = k.shape
+        ax0, ay0 = max(x0, 0), max(y0, 0)
+        ax1, ay1 = min(x0 + kw, map_w), min(y0 + kh, map_h)
+        if ax0 < ax1 and ay0 < ay1:
+            plane[ay0:ay1, ax0:ax1] += k[ay0 - y0 : ay1 - y0, ax0 - x0 : ax1 - x0]
+    return planes
+
+
+def assert_renders_like_reference(
+    annotations, extent, downsample=32.0, boundaries=(800.0, 1600.0, 3200.0)
+):
+    """render_gt_density and reference_render give bit-identical planes, or
+    raise the same ValueError; True when planes were compared."""
+    try:
+        expected = reference_render(annotations, extent, downsample, boundaries)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            render_gt_density(annotations, extent, downsample, boundaries)
+        return False
+    dset = render_gt_density(annotations, extent, downsample, boundaries)
+    for scale in ScaleLevel:
+        assert dset[scale].values.tobytes() == expected[int(scale)].tobytes()
+    return True
+
+
+@st.composite
+def render_cases(draw):
+    """Small rasters at each tested downsample with stamps below the sigma
+    clamp, with radii past 100 cells, clipped at every scene edge, and
+    stacked on one another; boundaries scaled so every bucket occurs."""
+    downsample = draw(st.sampled_from([1, 7.5, 32.0, 64.0]))
+    width = draw(st.integers(1, int(160 * downsample)))
+    height = draw(st.integers(1, int(160 * downsample)))
+    extent = SceneExtent(width, height)
+    # Quarter-pixel grid: x + w / 2 gives back the drawn center exactly.
+    side = st.one_of(st.integers(2, int(12 * downsample)), st.integers(2, int(1320 * downsample)))
+    annotations = []
+    for i in range(draw(st.integers(0, 12))):
+        cx, cy = draw(st.integers(0, 4 * width)) / 4.0, draw(st.integers(0, 4 * height)) / 4.0
+        w, h = draw(side) / 4.0, draw(side) / 4.0
+        annotations += [Annotation(id=i, bbox=BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h))] * draw(
+            st.integers(1, 3)
+        )
+    b0 = draw(st.floats(1.0, 100.0 * downsample))
+    boundaries = (b0, 2.0 * b0, 4.0 * b0)
+    return annotations, extent, downsample, boundaries
 
 
 def random_map_set(rng, size=16, downsample=32.0):
@@ -63,6 +145,13 @@ class TestStamp:
 
     def test_sigma_floor(self):
         assert make_stamp((5.0, 5.0), 0.1).sigma == 1.0
+
+    @pytest.mark.parametrize("center,sigma", [((100.3, 50.7), 1.0), ((0.0, 7.5), 0.2), ((3.9, 2.0), 41.7)])
+    def test_matches_reference_stamp(self, center, sigma):
+        stamp = make_stamp(center, sigma)
+        x0, y0, kernel = reference_stamp(center, sigma)
+        assert stamp.origin == (x0, y0)
+        assert stamp.weights.tobytes() == kernel.tobytes()
 
 
 class TestRender:
@@ -132,6 +221,66 @@ class TestRender:
         b = render_gt_density(shuffled, EXTENT)
         for scale in ScaleLevel:
             np.testing.assert_allclose(a[scale].values, b[scale].values, rtol=1e-6, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(render_cases())
+    def test_property_matches_reference(self, case):
+        assert_renders_like_reference(*case)
+
+    @pytest.mark.parametrize("downsample", [1, 7.5, 32.0, 64.0])
+    def test_edges_clamp_and_wide_stamps_match_reference(self, downsample):
+        extent = SceneExtent(int(150 * downsample), int(110 * downsample))
+        w, h = extent.width, extent.height
+        big, tiny = 330.0 * downsample, 0.5 * downsample
+        boxes = [
+            (0.0, 0.0, big),  # radius >= 100 cells, clipped at the top-left corner
+            (w, h, big),
+            (w / 2.0, 0.0, tiny),  # below the sigma clamp, on the top edge
+            (0.0, h / 2.0, 20.0 * downsample),
+            (w, h / 3.0, 9.0 * downsample),
+            (w / 3.0, h, 2.0 * downsample),
+            (w / 2.0, h / 2.0, 6.0 * downsample),
+            (w / 2.0, h / 2.0, 6.0 * downsample),  # co-located with the previous box
+            (w / 2.0 + 0.3, h / 2.0, 7.0 * downsample),
+            (w / 4.0, h / 4.0, 10.0 * downsample),  # sides on the bucket boundaries
+            (w / 4.0, h / 4.0, 50.0 * downsample),
+        ]
+        anns = [
+            ann(x - side / 2.0, y - side / 2.0, side, side, i) for i, (x, y, side) in enumerate(boxes)
+        ]
+        boundaries = (10.0 * downsample, 50.0 * downsample, 200.0 * downsample)
+        assert assert_renders_like_reference(anns, extent, downsample, boundaries)
+
+    def test_scenes_match_reference(self, default_scene, noisy_crowd):
+        for annotations, extent in (default_scene, noisy_crowd[:2]):
+            assert assert_renders_like_reference(annotations, extent)
+
+    def test_first_outside_annotation_is_named(self):
+        anns = [ann(100, 100, 50, 50, 3), ann(4090, 10, 100, 100, 7), ann(-90, 10, 100, 100, 9)]
+        with pytest.raises(ValueError, match="^annotation 7 center"):
+            render_gt_density(anns, EXTENT)
+
+    def test_boundaries_checked_as_scale_bucket_checks_them(self):
+        bad = (800.0, 800.0, 3200.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            render_gt_density([ann(100, 100, 50, 50)], EXTENT, boundaries=bad)
+        # As one annotation at a time: an outside first annotation is
+        # reported before the boundaries, and no annotations check nothing.
+        with pytest.raises(ValueError, match="outside"):
+            render_gt_density([ann(4090, 10, 100, 100)], EXTENT, boundaries=bad)
+        assert render_gt_density([], EXTENT, boundaries=bad).width == 128
+
+    def test_peak_memory_is_the_planes_plus_one_chunk(self, default_scene):
+        annotations, extent = default_scene
+        render_gt_density(annotations, extent)
+        tracemalloc.start()
+        try:
+            dset = render_gt_density(annotations, extent)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        planes = sum(dset[s].values.nbytes for s in ScaleLevel)
+        assert peak - planes < 1.5e6
 
     def test_mass_conservation_away_from_borders(self):
         # Stamps at least 3 sigma from every border: mass equals count to 1%.

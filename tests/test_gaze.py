@@ -215,6 +215,20 @@ class TestRunGaze:
         assert err.value.patch is patches[3]
         assert "cell=(3,0)" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "batch,message",
+        [
+            (lambda normalized: int("boom"), "invalid literal"),
+            (lambda normalized: [[] for _ in normalized[1:]], "returned 5 results for 6 patches"),
+        ],
+    )
+    def test_batch_failure_is_adapter_error(self, batch, message):
+        adapter = OracleDetector([])
+        adapter.detect_batch = batch
+        with pytest.raises(AdapterError, match=message) as err:
+            run_gaze(self._patches(), adapter, (1000, 1000))
+        assert err.value.patch is None
+
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
             run_gaze([], OracleDetector([]), (100, 100), workers=0)

@@ -299,7 +299,31 @@ class TestMergeRun:
         assert merged[0] == merged[1] == merged[2]
 
 
+def reference_write(path, dets):
+    """write_detections through json.dump's indenting encoder."""
+    rows = [
+        {"bbox": [d.bbox.x, d.bbox.y, d.bbox.width, d.bbox.height], "score": d.score, "category": d.category}
+        for d in dets
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(rows, fh, indent=1)
+        fh.write("\n")
+
+
 class TestDetectionsIo:
+    def test_bytes_equal_json_dump(self, tmp_path, default_run, noisy_crowd):
+        odd = [
+            GlobalDetection(BoundingBox(-0.0, 5e-324, 1e16, 3), float("nan"), 2, 1),
+            GlobalDetection(BoundingBox(1, 2, 3.5, 4), 1, 7),
+            GlobalDetection(BoundingBox(0.1, 1e-7, 123456789.125, 1e22), 0.30000000000000004),
+            GlobalDetection(BoundingBox(5, 5, 5, 5), float("inf")),
+            GlobalDetection(BoundingBox(5, 5, 5, 5), float("-inf"), True),
+        ]
+        for dets in (default_run.detections, noisy_crowd[2].detections, [], odd):
+            write_detections(tmp_path / "new.json", dets)
+            reference_write(tmp_path / "ref.json", dets)
+            assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         dets = global_nms(random_detections(rng, 40))

@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from densegaze import pipeline
 from densegaze.config import PipelineConfig
 from densegaze.density import read_dmap, write_dmap
 from densegaze.gaze import CostedDetector, OracleDetector
@@ -18,6 +21,18 @@ class TestRunPipeline:
         assert run.budget.baseline_name == "sw_16x16"
         expected_ratio = 256 * standard[0] * standard[1] / run.budget.pixels_processed
         assert run.budget.budget_ratio == pytest.approx(expected_ratio)
+
+    def test_wall_seconds_times_the_density_stage(self, small_scene, monkeypatch):
+        render = pipeline.render_gt_density
+
+        def slow_render(*args, **kwargs):
+            time.sleep(0.05)
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "render_gt_density", slow_render)
+        annotations, extent = small_scene
+        run = run_pipeline(annotations, extent, PipelineConfig(), OracleDetector(annotations))
+        assert run.budget.wall_seconds >= 0.05
 
     def test_precomputed_density_matches_rendered(self, small_scene, tmp_path):
         annotations, extent = small_scene

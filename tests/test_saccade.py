@@ -1,6 +1,12 @@
+import importlib
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from densegaze.config import PipelineConfig
 from densegaze.core import Annotation, BoundingBox, ScaleLevel, SceneExtent
 from densegaze.density import DensityMap, DensityMapSet, render_gt_density
 from densegaze.saccade import (
@@ -15,8 +21,61 @@ from densegaze.saccade import (
 )
 
 
+saccade_module = importlib.import_module("densegaze.saccade")
+
+
 def dmap(values, downsample=32.0):
     return DensityMap(values=np.asarray(values, dtype=np.float64), downsample=downsample)
+
+
+def reference_densities(dmap_, grid):
+    """Cell sums read off the full summed-area table, row-major (iy, ix)."""
+    integral = build_integral(dmap_)
+    xs = [(i * dmap_.width) // grid.cells_x for i in range(grid.cells_x + 1)]
+    ys = [(j * dmap_.height) // grid.cells_y for j in range(grid.cells_y + 1)]
+    return [
+        integral.rect_sum(xs[ix], ys[iy], xs[ix + 1], ys[iy + 1])
+        for iy in range(grid.cells_y)
+        for ix in range(grid.cells_x)
+    ]
+
+
+def reference_saccade(dset, grids, threshold, expansion, extent):
+    """saccade through a full table per map and a CellDensity per cell."""
+    patches = []
+    for scale in ScaleLevel:
+        dmap_, grid = dset[scale], grids[scale]
+        xs = [(i * dmap_.width) // grid.cells_x for i in range(grid.cells_x + 1)]
+        ys = [(j * dmap_.height) // grid.cells_y for j in range(grid.cells_y + 1)]
+        d = dmap_.downsample
+        cells = []
+        for density, (iy, ix) in zip(
+            reference_densities(dmap_, grid),
+            [(iy, ix) for iy in range(grid.cells_y) for ix in range(grid.cells_x)],
+        ):
+            x0, y0 = xs[ix] * d, ys[iy] * d
+            x1 = min(xs[ix + 1] * d, float(extent.width))
+            y1 = min(ys[iy + 1] * d, float(extent.height))
+            cells.append(CellDensity(scale, ix, iy, BoundingBox(x0, y0, x1 - x0, y1 - y0), density))
+        patches.extend(select_patches(cells, threshold, expansion, extent))
+    return patches
+
+
+@st.composite
+def grid_cases(draw):
+    """Random maps with blocks of 0.0 or -0.0 (where the table's
+    cancellation leaves negative residues), grids that need not divide the
+    map, and fold steps from one row to the whole map."""
+    h, w = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.random((h, w)) * 10.0 ** rng.uniform(-6, 2, size=(h, w))
+    for _ in range(draw(st.integers(0, 4))):
+        y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+        zero = draw(st.sampled_from([0.0, -0.0]))
+        values[y0 : y0 + int(rng.integers(1, h + 1)), x0 : x0 + int(rng.integers(1, w + 1))] = zero
+    grid = GridSpec(ScaleLevel.TINY, draw(st.integers(1, w)), draw(st.integers(1, h)))
+    fold_cells = draw(st.sampled_from([1, 7, 64, 1 << 15]))
+    return dmap(values), grid, fold_cells
 
 
 def zero_set(size, downsample=32.0):
@@ -103,6 +162,20 @@ class TestGridDensities:
         densities = sorted(c.density for c in cells)
         assert densities[0] > 0.0 and densities[1] < 1.0
         assert sum(densities) == pytest.approx(1.0, abs=1e-3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_cases())
+    def test_property_equals_table_rect_sums(self, case):
+        dmap_, grid, fold_cells = case
+        extent = SceneExtent(dmap_.width * 32, dmap_.height * 32)
+        with mock.patch.object(saccade_module, "_FOLD_CELLS", fold_cells):
+            cells = grid_densities(dmap_, grid, extent)
+        got = np.array([c.density for c in cells])
+        assert got.tobytes() == np.array(reference_densities(dmap_, grid)).tobytes()
+
+    def test_map_overrunning_the_scene_is_rejected(self):
+        with pytest.raises(ValueError, match="overruns"):
+            grid_densities(dmap(np.zeros((8, 8))), GridSpec(ScaleLevel.TINY, 4, 4), SceneExtent(100, 256))
 
     def test_grid_finer_than_map(self):
         with pytest.raises(ValueError, match="finer"):
@@ -251,6 +324,28 @@ class TestSaccade:
             for cell in grid_densities(solo[scale], grids[scale], extent):
                 if cell.density > 0.2:
                     assert (int(scale), cell.ix, cell.iy) in selected
+
+    def test_stock_scene_matches_reference(self, default_scene):
+        annotations, extent = default_scene
+        config = PipelineConfig()
+        dset = render_gt_density(annotations, extent)
+        args = (config.grid_specs(), config.threshold, config.expansion, extent)
+        patches = saccade(dset, *args)
+        assert patches == reference_saccade(dset, *args)
+        assert [p.density for p in patches] == [p.density for p in reference_saccade(dset, *args)]
+        assert saccade(dset, args[0], 0.0, 1.5, extent) == reference_saccade(dset, args[0], 0.0, 1.5, extent)
+
+    def test_peak_memory_holds_no_table(self, default_scene):
+        annotations, extent = default_scene
+        dset = render_gt_density(annotations, extent)
+        saccade(dset, extent=extent)
+        tracemalloc.start()
+        try:
+            saccade(dset, extent=extent)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_manifest_shape(self, default_scene):
         annotations, extent = default_scene
