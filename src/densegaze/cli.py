@@ -13,7 +13,7 @@ import shlex
 import sys
 from pathlib import Path
 
-from .config import ConfigError, PipelineConfig, build_config
+from .config import CONFIG_KEYS, ConfigError, ConfigKey, PipelineConfig, build_config, parse_value
 from .core import ScaleLevel, load_scene, save_scene
 from .density import DmapError, read_dmap, render_gt_density, write_dmap
 from .evaluate import (
@@ -34,60 +34,35 @@ from .gaze import (
 from .merge import read_detections, write_detections
 from .pipeline import run_pipeline
 from .saccade import patch_manifest, saccade
-from .synth import InfeasibleSceneError, build_scene_spec, generate_scene, scene_stats
+from .synth import SCENE_KEYS, InfeasibleSceneError, build_scene_spec, generate_scene, scene_stats
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_ADAPTER = 4
 
-_CONFIG_FLAGS = (
-    ("downsample", float, "original pixels per density-map cell"),
-    ("threshold", float, "cell density needed for patch selection"),
-    ("expansion", float, "patch growth factor about the cell center"),
-    ("count_scale", float, "training-style density multiplier"),
-    ("nms_iou", float, "IoU above which merged boxes are suppressed"),
-    ("workers", int, "parallel detector workers"),
-    ("seed", int, "root seed for all randomness"),
-)
+
+def _add_key_flags(parser: argparse.ArgumentParser, keys: dict[str, ConfigKey]) -> None:
+    for name, key in keys.items():
+        parser.add_argument(f"--{key.flag or name.replace('_', '-')}", dest=name, help=key.help)
+
+
+def _key_values(args: argparse.Namespace, keys: dict[str, ConfigKey]) -> dict:
+    """The flags that were given, each parsed by its key's rule."""
+    return {
+        name: parse_value(name, raw, keys)
+        for name in keys
+        if (raw := getattr(args, name)) is not None
+    }
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="key=value config file")
-    for name, ftype, help_text in _CONFIG_FLAGS:
-        parser.add_argument(f"--{name.replace('_', '-')}", type=ftype, help=help_text)
-    parser.add_argument("--boundaries", help="scale thresholds, e.g. 800,1600,3200")
-    parser.add_argument("--grids", help="grid cells per scale, e.g. 16,8,4,2")
-    parser.add_argument("--alphas", help="loss weights per scale, e.g. 0.01,0.1,10,100")
-    parser.add_argument("--standard-size", help="standard frame WxH, or 'auto'")
+    _add_key_flags(parser, CONFIG_KEYS)
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    overrides: dict = {}
-    for name, _, _ in _CONFIG_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "boundaries", None) is not None:
-        overrides["boundaries"] = tuple(float(v) for v in args.boundaries.split(","))
-    if getattr(args, "grids", None) is not None:
-        overrides["grids"] = tuple(int(v) for v in args.grids.split(","))
-    if getattr(args, "alphas", None) is not None:
-        overrides["alphas"] = tuple(float(v) for v in args.alphas.split(","))
-    std = getattr(args, "standard_size", None)
-    if std is not None:
-        if std == "auto":
-            overrides["standard_size"] = None
-        else:
-            try:
-                w, h = std.split("x")
-                overrides["standard_size"] = (int(w), int(h))
-            except ValueError as exc:
-                raise ConfigError(f"cannot parse standard size {std!r}") from exc
-    try:
-        return build_config(getattr(args, "config", None), overrides)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return build_config(args.config, _key_values(args, CONFIG_KEYS))
 
 
 def _make_adapter(args: argparse.Namespace, annotations, config: PipelineConfig) -> DetectorAdapter:
@@ -115,19 +90,7 @@ def _print_json(payload) -> None:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     try:
-        spec = build_scene_spec(
-            args.spec,
-            {
-                "width": args.width,
-                "height": args.height,
-                "object_count": args.objects,
-                "foreground_fraction_target": args.foreground,
-                "min_side": args.min_side,
-                "max_side": args.max_side,
-                "cluster_count": args.clusters,
-                "seed": args.seed,
-            },
-        )
+        spec = build_scene_spec(args.spec, _key_values(args, SCENE_KEYS))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     annotations, extent = generate_scene(spec)
@@ -217,7 +180,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     annotations, extent = load_scene(args.annotations)
-    standard_size = config.resolve_standard_size(extent)
 
     def build_adapter() -> CostedDetector:
         return CostedDetector(_make_adapter(args, annotations, config), args.cost_per_pixel)
@@ -232,9 +194,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _, report = sliding_window_run(
             extent,
             grid,
-            annotations,
             adapter,
-            standard_size,
+            run.standard_size,
             expansion=config.expansion,
             workers=config.workers,
             nms_iou=config.nms_iou,
@@ -246,7 +207,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     payload = {
         "note": "pixel budgets are the deterministic cost proxy; wall-clock is informative only",
-        "standard_size": list(standard_size),
+        "standard_size": list(run.standard_size),
         "runs": {name: r.to_json_dict() for name, r in runs.items()},
         "ratios": {
             f"{name}_vs_saccade": compare_budgets(runs["saccade"], report)
@@ -293,14 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic annotated scene")
     p.add_argument("--out", required=True, help="annotation JSON to write")
     p.add_argument("--spec", metavar="FILE", help="key=value scene spec file")
-    p.add_argument("--objects", type=int, help="object count (default 500)")
-    p.add_argument("--width", type=int, help="scene width in pixels")
-    p.add_argument("--height", type=int, help="scene height in pixels")
-    p.add_argument("--foreground", type=float, help="coverage target fraction")
-    p.add_argument("--min-side", type=float, help="smallest box side")
-    p.add_argument("--max-side", type=float, help="largest box side")
-    p.add_argument("--clusters", type=int, help="crowd cluster count")
-    p.add_argument("--seed", type=int, help="generator seed (default 0)")
+    _add_key_flags(p, SCENE_KEYS)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("density", help="render ground-truth density maps to a DMAP file")

@@ -1,16 +1,20 @@
 """Pipeline configuration: defaults, key=value files, and CLI overrides.
 
 Precedence is built-in defaults < config file < explicit overrides.
-Unknown keys are rejected so typos fail loudly.
+Unknown keys are rejected so typos fail loudly. Every key's parse,
+format and help live in one table, which config files, the dumped
+config and the CLI flags all read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any, Callable, Mapping
 
 from .core import ScaleLevel, SceneExtent
-from .density import DEFAULT_ALPHAS, DEFAULT_COUNT_SCALE, DEFAULT_DOWNSAMPLE
+from .density import DEFAULT_DOWNSAMPLE
 from .core import DEFAULT_SCALE_BOUNDARIES
 from .gaze import default_standard_size
 from .merge import DEFAULT_NMS_IOU
@@ -35,29 +39,24 @@ class PipelineConfig:
     grids: tuple[int, int, int, int] = DEFAULT_GRID_CELLS
     threshold: float = DEFAULT_DENSITY_THRESHOLD
     expansion: float = DEFAULT_EXPANSION
-    alphas: tuple[float, float, float, float] = DEFAULT_ALPHAS
-    count_scale: float = DEFAULT_COUNT_SCALE
     nms_iou: float = DEFAULT_NMS_IOU
     standard_size: tuple[int, int] | None = None
     workers: int = 1
     seed: int = 0
 
     def validate(self) -> "PipelineConfig":
-        if self.downsample < 1:
-            raise ConfigError(f"downsample must be >= 1, got {self.downsample}")
+        # Chained comparisons are False for NaN, and "< math.inf" rejects infinity.
+        if not 1 <= self.downsample < math.inf:
+            raise ConfigError(f"downsample must be finite and >= 1, got {self.downsample}")
         b = self.boundaries
-        if len(b) != 3 or not (0 < b[0] < b[1] < b[2]):
-            raise ConfigError(f"boundaries must be three increasing thresholds, got {b}")
+        if len(b) != 3 or not (0 < b[0] < b[1] < b[2] < math.inf):
+            raise ConfigError(f"boundaries must be three finite increasing thresholds, got {b}")
         if len(self.grids) != 4 or any(g < 1 for g in self.grids):
             raise ConfigError(f"grids must be four counts >= 1, got {self.grids}")
-        if self.threshold < 0:
-            raise ConfigError(f"threshold must be >= 0, got {self.threshold}")
-        if self.expansion < 1:
-            raise ConfigError(f"expansion must be >= 1, got {self.expansion}")
-        if len(self.alphas) != 4 or any(a < 0 for a in self.alphas):
-            raise ConfigError(f"alphas must be four non-negative weights, got {self.alphas}")
-        if self.count_scale <= 0:
-            raise ConfigError(f"count_scale must be positive, got {self.count_scale}")
+        if not 0 <= self.threshold < math.inf:
+            raise ConfigError(f"threshold must be finite and >= 0, got {self.threshold}")
+        if not 1 <= self.expansion < math.inf:
+            raise ConfigError(f"expansion must be finite and >= 1, got {self.expansion}")
         if not 0 < self.nms_iou <= 1:
             raise ConfigError(f"nms_iou must be in (0, 1], got {self.nms_iou}")
         if self.standard_size is not None and any(v < 2 for v in self.standard_size):
@@ -80,57 +79,72 @@ class PipelineConfig:
 
     def to_file_text(self) -> str:
         """Effective config in the key=value file syntax."""
-        lines = [
-            f"downsample={_fmt(self.downsample)}",
-            "boundaries=" + ",".join(_fmt(v) for v in self.boundaries),
-            "grids=" + ",".join(str(v) for v in self.grids),
-            f"threshold={_fmt(self.threshold)}",
-            f"expansion={_fmt(self.expansion)}",
-            "alphas=" + ",".join(_fmt(v) for v in self.alphas),
-            f"count_scale={_fmt(self.count_scale)}",
-            f"nms_iou={_fmt(self.nms_iou)}",
-            "standard_size="
-            + ("auto" if self.standard_size is None else f"{self.standard_size[0]}x{self.standard_size[1]}"),
-            f"workers={self.workers}",
-            f"seed={self.seed}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{name}={key.format(getattr(self, name))}\n" for name, key in CONFIG_KEYS.items())
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """How one key=value setting is parsed, written back, and described.
+
+    flag is the CLI flag name when it is not the key with '-' for '_'.
+    """
+
+    parse: Callable[[str], Any]
+    help: str
+    format: Callable[[Any], str] = str
+    flag: str | None = None
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split(","))
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in raw.split(","))
+
+
+def _size(raw: str) -> tuple[int, int] | None:
+    if raw == "auto":
+        return None
+    w, h = raw.split("x")
+    return (int(w), int(h))
 
 
 def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _parse_value(key: str, raw: str):
+# One entry per PipelineConfig field, in field order (the dump follows it).
+CONFIG_KEYS: dict[str, ConfigKey] = {
+    "downsample": ConfigKey(float, "original pixels per density-map cell", _fmt),
+    "boundaries": ConfigKey(
+        _floats, "scale thresholds, e.g. 800,1600,3200", lambda b: ",".join(_fmt(v) for v in b)
+    ),
+    "grids": ConfigKey(_ints, "grid cells per scale, e.g. 16,8,4,2", lambda g: ",".join(str(v) for v in g)),
+    "threshold": ConfigKey(float, "cell density needed for patch selection", _fmt),
+    "expansion": ConfigKey(float, "patch growth factor about the cell center", _fmt),
+    "nms_iou": ConfigKey(float, "IoU above which merged boxes are suppressed", _fmt),
+    "standard_size": ConfigKey(
+        _size, "standard frame WxH, or 'auto'", lambda s: "auto" if s is None else f"{s[0]}x{s[1]}"
+    ),
+    "workers": ConfigKey(int, "parallel detector workers"),
+    "seed": ConfigKey(int, "root seed for all randomness"),
+}
+
+
+def parse_value(name: str, raw: str, keys: Mapping[str, ConfigKey]) -> Any:
+    """Parse one raw value by its key's rule."""
+    key = keys.get(name)
+    if key is None:
+        raise ConfigError(f"unknown config key {name!r}")
     raw = raw.strip()
     try:
-        if key == "downsample":
-            return float(raw)
-        if key == "boundaries":
-            vals = tuple(float(v) for v in raw.split(","))
-            return vals
-        if key == "grids":
-            return tuple(int(v) for v in raw.split(","))
-        if key in ("threshold", "expansion", "count_scale", "nms_iou"):
-            return float(raw)
-        if key == "alphas":
-            return tuple(float(v) for v in raw.split(","))
-        if key == "standard_size":
-            if raw == "auto":
-                return None
-            w, h = raw.split("x")
-            return (int(w), int(h))
-        if key in ("workers", "seed"):
-            return int(raw)
+        return key.parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {key}={raw!r}: {exc}") from exc
-    raise ConfigError(f"unknown config key {key!r}")
+        raise ConfigError(f"cannot parse {name}={raw!r}: {exc}") from exc
 
 
-_KNOWN_KEYS = {f.name for f in fields(PipelineConfig)}
-
-
-def parse_config_file(path: str | Path) -> dict:
+def parse_config_file(path: str | Path, keys: Mapping[str, ConfigKey] = CONFIG_KEYS) -> dict:
     """Read a line-oriented key=value file; '#' starts a comment."""
     values: dict = {}
     try:
@@ -143,11 +157,12 @@ def parse_config_file(path: str | Path) -> dict:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(key, raw)
+        name, raw = stripped.split("=", 1)
+        name = name.strip()
+        try:
+            values[name] = parse_value(name, raw, keys)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
@@ -157,7 +172,7 @@ def build_config(file_path: str | Path | None = None, overrides: dict | None = N
     if file_path is not None:
         config = replace(config, **parse_config_file(file_path))
     if overrides:
-        unknown = set(overrides) - _KNOWN_KEYS
+        unknown = set(overrides) - set(CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         config = replace(config, **overrides)

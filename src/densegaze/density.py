@@ -29,7 +29,6 @@ from .core import DEFAULT_SCALE_BOUNDARIES
 
 DEFAULT_DOWNSAMPLE = 32.0
 DEFAULT_ALPHAS = (0.01, 0.1, 10.0, 100.0)
-DEFAULT_COUNT_SCALE = 1000.0
 
 DMAP_MAGIC = b"DMAP"
 DMAP_VERSION = 1

@@ -317,7 +317,6 @@ def sliding_window_patches(extent: SceneExtent, grid: int, expansion: float = DE
 def sliding_window_run(
     extent: SceneExtent,
     grid: int,
-    annotations: list[Annotation],
     adapter: DetectorAdapter,
     standard_size: tuple[int, int],
     expansion: float = DEFAULT_EXPANSION,
@@ -326,11 +325,8 @@ def sliding_window_run(
 ) -> tuple[list[GlobalDetection], BudgetReport]:
     """Selection-free baseline: detect on every grid cell, then merge.
 
-    The budget charges every cell; annotations are accepted for signature
-    parity with pipeline runs and are not consulted (the adapter may hold
-    its own ground truth).
+    The budget charges every cell.
     """
-    del annotations
     patches = sliding_window_patches(extent, grid, expansion)
     start = time.perf_counter()
     results = run_gaze(patches, adapter, standard_size, workers=workers)

@@ -318,26 +318,14 @@ def run_gaze(
             raise AdapterError(f"detector returned {len(outputs)} results for {len(normalized)} patches")
         return [GazeResult(np_p, dets) for np_p, dets in zip(normalized, outputs)]
 
-    def call(np_patch: NormalizedPatch) -> list[PatchDetection]:
-        return adapter.detect(np_patch)
+    def guarded(np_patch: NormalizedPatch) -> list[PatchDetection] | Exception:
+        try:
+            return adapter.detect(np_patch)
+        except Exception as exc:
+            return exc
 
-    outcomes: list[list[PatchDetection] | Exception]
-    if workers == 1 or len(normalized) <= 1:
-        outcomes = []
-        for np_p in normalized:
-            try:
-                outcomes.append(call(np_p))
-            except Exception as exc:
-                outcomes.append(exc)
-    else:
-        def guarded(np_patch: NormalizedPatch):
-            try:
-                return call(np_patch)
-            except Exception as exc:
-                return exc
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(guarded, normalized))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = list(pool.map(guarded, normalized))
 
     for np_p, outcome in zip(normalized, outcomes):
         if isinstance(outcome, Exception):
@@ -349,12 +337,18 @@ def run_gaze(
     return [GazeResult(np_p, out) for np_p, out in zip(normalized, outcomes)]
 
 
+# Seconds one external detector call may take before it is killed and the
+# run fails with an AdapterError; a hung detector must not hang the pipeline.
+EXEC_TIMEOUT_S = 600.0
+
+
 class ExternalCommandDetector(DetectorAdapter):
     """File-exchange adapter for out-of-process detectors.
 
     For each batch it writes a patch manifest JSON, runs the configured
     command as `cmd <manifest.json> <detections_out.json>`, and reads the
-    detections back. The manifest rows are
+    detections back; a command that runs longer than EXEC_TIMEOUT_S is
+    killed. The manifest rows are
     {"patch_id", "scale", "cell", "region", "zoom", "standard_size"};
     the command must write a JSON list of
     {"patch_id", "bbox": [x, y, w, h] (normalized frame), "score", "category"}.
@@ -391,11 +385,15 @@ class ExternalCommandDetector(DetectorAdapter):
             manifest_path = Path(tmp) / "patches.json"
             out_path = Path(tmp) / "detections.json"
             manifest_path.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
-            proc = subprocess.run(
-                self.command + [str(manifest_path), str(out_path)],
-                capture_output=True,
-                text=True,
-            )
+            try:
+                proc = subprocess.run(
+                    self.command + [str(manifest_path), str(out_path)],
+                    capture_output=True,
+                    text=True,
+                    timeout=EXEC_TIMEOUT_S,
+                )
+            except subprocess.TimeoutExpired as exc:
+                raise AdapterError(f"external detector timed out after {EXEC_TIMEOUT_S:g} s") from exc
             if proc.returncode != 0:
                 raise AdapterError(
                     f"external detector exited {proc.returncode}: {proc.stderr.strip()}"

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError, ConfigKey, parse_config_file
 from .core import Annotation, BoundingBox, ScaleLevel, SceneExtent, scale_bucket
 
 DEFAULT_EXTENT = SceneExtent(26368, 14976)
@@ -62,6 +63,8 @@ class SceneSpec:
 
     def __post_init__(self) -> None:
         min_side, max_side = self.size_gradient
+        if not all(math.isfinite(v) for v in self.size_gradient):
+            raise ValueError(f"size gradient must be finite, got {self.size_gradient}")
         if min_side < 4:
             raise ValueError(f"min_side must be >= 4, got {min_side}")
         if max_side <= min_side:
@@ -253,52 +256,26 @@ def generate_scene(spec: SceneSpec) -> tuple[list[Annotation], SceneExtent]:
     return annotations, extent
 
 
-_SPEC_KEYS = {
-    "width": int,
-    "height": int,
-    "object_count": int,
-    "foreground_fraction_target": float,
-    "min_side": float,
-    "max_side": float,
-    "cluster_count": int,
-    "seed": int,
+SCENE_KEYS: dict[str, ConfigKey] = {
+    "width": ConfigKey(int, "scene width in pixels"),
+    "height": ConfigKey(int, "scene height in pixels"),
+    "object_count": ConfigKey(int, "object count (default 500)", flag="objects"),
+    "foreground_fraction_target": ConfigKey(float, "coverage target fraction", flag="foreground"),
+    "min_side": ConfigKey(float, "smallest box side"),
+    "max_side": ConfigKey(float, "largest box side"),
+    "cluster_count": ConfigKey(int, "crowd cluster count", flag="clusters"),
+    "seed": ConfigKey(int, "generator seed (default 0)"),
 }
-
-
-def parse_scene_spec_file(path) -> dict:
-    """Read SceneSpec fields from a line-oriented key=value file."""
-    values: dict = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read scene spec file {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SPEC_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown scene spec key {key!r}")
-        try:
-            values[key] = _SPEC_KEYS[key](raw)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: cannot parse {key}={raw!r}") from exc
-    return values
 
 
 def build_scene_spec(file_path=None, overrides: dict | None = None) -> SceneSpec:
     """Layer file values and explicit overrides onto the SceneSpec defaults."""
-    values: dict = {}
-    if file_path is not None:
-        values.update(parse_scene_spec_file(file_path))
-    for key, value in (overrides or {}).items():
-        if key not in _SPEC_KEYS:
-            raise ValueError(f"unknown scene spec key {key!r}")
-        if value is not None:
-            values[key] = value
+    values = parse_config_file(file_path, SCENE_KEYS) if file_path is not None else {}
+    overrides = overrides or {}
+    unknown = set(overrides) - set(SCENE_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown scene spec keys: {sorted(unknown)}")
+    values.update(overrides)
     defaults = SceneSpec()
     extent = SceneExtent(
         values.pop("width", defaults.extent.width),

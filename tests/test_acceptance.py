@@ -191,7 +191,7 @@ def test_06_speed_mechanism(default_scene, default_run):
     saccade_wall = time.perf_counter() - started
     adapter = CostedDetector(OracleDetector(annotations), cost_per_pixel=cost)
     started = time.perf_counter()
-    sliding_window_run(extent, 16, annotations, adapter, standard, workers=8)
+    sliding_window_run(extent, 16, adapter, standard, workers=8)
     sw_wall = time.perf_counter() - started
     speedup = sw_wall / saccade_wall
     gate = f"budget ratio {sw_pixels / saccade_pixels:.2f} >= 6"

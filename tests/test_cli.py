@@ -177,6 +177,28 @@ class TestExitCodes:
         assert run_cli("run", "--annotations", scene_file, "--out", tmp_path / "d.json",
                        "--threshold", -1.0) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--boundaries", "a,b,c"), ("--grids", "16,8,4,x")])
+    def test_bad_list_flag_is_config_error(self, scene_file, tmp_path, flag, value):
+        assert run_cli("run", "--annotations", scene_file, "--out", tmp_path / "d.json",
+                       flag, value) == 2
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("run", "--expansion", "inf"),
+            ("run", "--threshold", "nan"),
+            ("run", "--downsample", "nan"),
+            ("synth", "--max-side", "inf"),
+            ("synth", "--max-side", "nan"),
+            ("synth", "--min-side", "nan"),
+        ],
+    )
+    def test_non_finite_value_is_config_error(self, scene_file, tmp_path, command, flag, value):
+        out = tmp_path / "out.json"
+        args = ["--annotations", scene_file] if command == "run" else []
+        assert run_cli(command, *args, "--out", out, flag, value) == 2
+        assert not out.exists()
+
     def test_unknown_adapter_is_config_error(self, scene_file, tmp_path):
         assert run_cli("run", "--annotations", scene_file, "--out", tmp_path / "d.json",
                        "--adapter", "telepathy") == 2

@@ -1,6 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
-from densegaze.config import ConfigError, PipelineConfig, build_config, parse_config_file
+from densegaze.config import CONFIG_KEYS, ConfigError, PipelineConfig, build_config, parse_config_file
 from densegaze.core import ScaleLevel, SceneExtent
 
 
@@ -12,11 +14,14 @@ class TestDefaults:
         assert config.grids == (16, 8, 4, 2)
         assert config.threshold == 0.2
         assert config.expansion == 1.2
-        assert config.alphas == (0.01, 0.1, 10.0, 100.0)
-        assert config.count_scale == 1000.0
         assert config.nms_iou == 0.5
         assert config.standard_size is None
         assert config.workers == 1
+
+    def test_key_table_follows_the_fields(self):
+        # The dumped file lists keys in table order; every field needs a key.
+        assert list(CONFIG_KEYS) == [f.name for f in fields(PipelineConfig)]
+        assert len(CONFIG_KEYS) == 9
 
     def test_grid_specs(self):
         specs = PipelineConfig().grid_specs()
@@ -39,13 +44,19 @@ class TestValidation:
             {"grids": (16, 8, 4, 0)},
             {"threshold": -0.1},
             {"expansion": 0.8},
-            {"alphas": (1.0, 1.0, 1.0)},
-            {"count_scale": 0.0},
+            {"downsample": float("nan")},
+            {"expansion": float("inf")},
             {"nms_iou": 0.0},
             {"nms_iou": 1.5},
             {"standard_size": (1, 100)},
             {"workers": 0},
             {"seed": -5},
+            {"downsample": float("inf")},
+            {"boundaries": (800.0, 1600.0, float("inf"))},
+            {"boundaries": (800.0, float("nan"), 3200.0)},
+            {"threshold": float("nan")},
+            {"threshold": float("inf")},
+            {"nms_iou": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -81,6 +92,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("line", ["alphas=0.01,0.1,10.0,100.0", "count_scale=1000.0"])
+    def test_keys_the_pipeline_never_read_are_unknown(self, tmp_path, line):
+        path = tmp_path / "pipeline.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="pipeline.cfg:1: unknown config key"):
+            parse_config_file(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "pipeline.cfg"
         path.write_text("threshold 0.4\n")
@@ -96,6 +114,19 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config_file(tmp_path / "nope.cfg")
+
+    def test_stock_dump_text(self):
+        assert PipelineConfig().to_file_text() == (
+            "downsample=32.0\n"
+            "boundaries=800.0,1600.0,3200.0\n"
+            "grids=16,8,4,2\n"
+            "threshold=0.2\n"
+            "expansion=1.2\n"
+            "nms_iou=0.5\n"
+            "standard_size=auto\n"
+            "workers=1\n"
+            "seed=0\n"
+        )
 
     def test_round_trip(self, tmp_path):
         original = build_config(

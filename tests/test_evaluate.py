@@ -305,7 +305,7 @@ class TestSlidingWindow:
         annotations, extent = crowd_scene
         adapter = OracleDetector(annotations)
         standard = default_standard_size(extent)
-        dets, report = sliding_window_run(extent, 16, annotations, adapter, standard)
+        dets, report = sliding_window_run(extent, 16, adapter, standard)
         result = ap50(dets, annotations)
         assert result.ap >= 0.99
         assert result.recall == 1.0
@@ -319,7 +319,7 @@ class TestSlidingWindow:
         annotations, extent = crowd_scene
         adapter = OracleDetector(annotations)
         standard = default_standard_size(extent)
-        sw_dets, _ = sliding_window_run(extent, 16, annotations, adapter, standard)
+        sw_dets, _ = sliding_window_run(extent, 16, adapter, standard)
         dset = render_gt_density(annotations, extent)
         patches = saccade(dset, extent=extent)
         sac_dets = merge_run(run_gaze(patches, adapter, standard), extent)
@@ -334,7 +334,7 @@ class TestSlidingWindow:
         annotations, extent = default_scene
         adapter = OracleDetector(annotations)
         standard = default_standard_size(extent)
-        sw_dets, _ = sliding_window_run(extent, 16, annotations, adapter, standard)
+        sw_dets, _ = sliding_window_run(extent, 16, adapter, standard)
         sw = ap50(sw_dets, annotations)
         sac = ap50(default_run.detections, annotations)
         assert sac.recall >= sw.recall

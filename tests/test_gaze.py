@@ -1,10 +1,12 @@
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
 
 from densegaze.core import Annotation, BoundingBox, ScaleLevel, SceneExtent
+from densegaze import gaze
 from densegaze.density import render_gt_density
 from densegaze.gaze import (
     AdapterError,
@@ -271,6 +273,14 @@ class TestExternalCommandDetector:
         adapter = ExternalCommandDetector(self._write_script(tmp_path, "import sys; sys.exit(3)"))
         with pytest.raises(AdapterError, match="exited 3"):
             adapter.detect_batch([normalize(make_patch(0, 0, 1000, 1000), (1000, 1000))])
+
+    def test_hung_command_times_out(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gaze, "EXEC_TIMEOUT_S", 0.5)
+        adapter = ExternalCommandDetector(self._write_script(tmp_path, "import time; time.sleep(60)"))
+        started = time.perf_counter()
+        with pytest.raises(AdapterError, match="timed out after 0.5 s"):
+            adapter.detect_batch([normalize(make_patch(0, 0, 1000, 1000), (1000, 1000))])
+        assert time.perf_counter() - started < 30.0
 
     def test_invalid_json(self, tmp_path):
         body = "import sys\nopen(sys.argv[2], 'w').write('not json')"
