@@ -262,8 +262,9 @@ def eval_size_bucket(box: BoundingBox) -> EvalSizeBucket:
 def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
     """Read the annotation interchange JSON.
 
-    Boxes are clipped into the scene at ingestion; an annotation entirely
-    outside the scene, a duplicate id, or a non-positive box is an error.
+    A box inside the scene is kept exactly as read; one that crosses an
+    edge is clipped into the scene. An annotation entirely outside the
+    scene, a duplicate id, or a non-positive box is an error.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -281,26 +282,52 @@ def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
             raise ValueError(f"duplicate annotation id {ann_id} in {path}")
         seen.add(ann_id)
         x, y, w, h = (float(v) for v in entry["bbox"])
-        clipped = BoundingBox(x, y, w, h).clip(extent)
-        if clipped is None:
-            raise ValueError(f"annotation {ann_id} lies entirely outside the scene")
-        annotations.append(Annotation(ann_id, clipped, int(entry.get("category", 0))))
+        box = BoundingBox(x, y, w, h)
+        # Clipping recomputes the width as (x + w) - x, which can move it
+        # by an ulp; only a box that crosses an edge pays that.
+        if not (x >= 0.0 and y >= 0.0 and box.right <= extent.width and box.bottom <= extent.height):
+            box = box.clip(extent)
+            if box is None:
+                raise ValueError(f"annotation {ann_id} lies entirely outside the scene")
+        annotations.append(Annotation(ann_id, box, int(entry.get("category", 0))))
     return annotations, extent
 
 
+def json_number(v) -> str:
+    """A number as json.dump writes it: floats by float.__repr__, with NaN
+    and the infinities spelled as JSON does, plain ints by int.__repr__;
+    anything else through json."""
+    if type(v) is int:
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v == math.inf:
+            return "Infinity"
+        if v == -math.inf:
+            return "-Infinity"
+        return float.__repr__(v)
+    return json.dumps(v)
+
+
 def save_scene(path: str | Path, annotations: list[Annotation], extent: SceneExtent) -> None:
-    """Write the annotation interchange JSON (deterministic layout)."""
-    doc = {
-        "scene": {"width": extent.width, "height": extent.height},
-        "annotations": [
-            {
-                "id": a.id,
-                "bbox": [a.bbox.x, a.bbox.y, a.bbox.width, a.bbox.height],
-                "category": a.category,
-            }
-            for a in annotations
-        ],
-    }
+    """Write the annotation interchange JSON (deterministic layout).
+
+    The bytes are those of json.dump(doc, indent=1) plus a newline; the
+    fixed layout is written directly rather than through the pure-Python
+    indenting encoder.
+    """
+    num = json_number
+    rows = []
+    for a in annotations:
+        b = a.bbox
+        rows.append(
+            '  {\n   "id": %s,\n   "bbox": [\n    %s,\n    %s,\n    %s,\n    %s\n   ],\n   "category": %s\n  }'
+            % (num(a.id), num(b.x), num(b.y), num(b.width), num(b.height), num(a.category))
+        )
+    body = "[\n" + ",\n".join(rows) + "\n ]" if rows else "[]"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(
+            '{\n "scene": {\n  "width": %s,\n  "height": %s\n },\n "annotations": %s\n}\n'
+            % (num(extent.width), num(extent.height), body)
+        )

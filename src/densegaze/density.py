@@ -83,9 +83,12 @@ class DensityMap:
             raise ValueError(f"density map must be a non-empty 2-D grid, got shape {self.values.shape}")
         if self.downsample < 1:
             raise ValueError(f"downsample must be >= 1, got {self.downsample}")
-        if not np.all(np.isfinite(self.values)):
+        # Two reductions cover both checks: a NaN makes the min NaN, and an
+        # infinity of either sign is the min or the max.
+        lo, hi = float(self.values.min()), float(self.values.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("density map contains non-finite values")
-        if np.any(self.values < 0):
+        if lo < 0:
             raise ValueError("density map contains negative values")
 
     @property

@@ -9,13 +9,12 @@ processing order.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import BoundingBox, SceneExtent, overlap_pairs
+from .core import BoundingBox, SceneExtent, json_number, overlap_pairs
 from .gaze import GazeResult, NormalizedPatch, PatchDetection
 
 DEFAULT_NMS_IOU = 0.5
@@ -155,20 +154,6 @@ def merge_run(
     return out
 
 
-def _json_number(v) -> str:
-    """A number as json.dump writes it: floats by float.__repr__, with NaN
-    and the infinities spelled as JSON does; anything else through json."""
-    if isinstance(v, float):
-        if v != v:
-            return "NaN"
-        if v == math.inf:
-            return "Infinity"
-        if v == -math.inf:
-            return "-Infinity"
-        return float.__repr__(v)
-    return json.dumps(v)
-
-
 def write_detections(path: str | Path, dets: list[GlobalDetection]) -> None:
     """Write the final detections JSON (a list of bbox/score/category rows).
 
@@ -176,7 +161,7 @@ def write_detections(path: str | Path, dets: list[GlobalDetection]) -> None:
     fixed row layout is written directly rather than through the
     pure-Python indenting encoder.
     """
-    num = _json_number
+    num = json_number
     rows = []
     for d in dets:
         b = d.bbox

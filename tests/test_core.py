@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from densegaze import core
 from densegaze.core import (
+    Annotation,
     BoundingBox,
     EvalSizeBucket,
     ScaleLevel,
@@ -199,6 +200,20 @@ class TestSceneExtent:
         assert extent.area == 1e10
 
 
+def reference_save_scene(path, annotations, extent):
+    """save_scene through json.dump's indenting encoder."""
+    doc = {
+        "scene": {"width": extent.width, "height": extent.height},
+        "annotations": [
+            {"id": a.id, "bbox": [a.bbox.x, a.bbox.y, a.bbox.width, a.bbox.height], "category": a.category}
+            for a in annotations
+        ],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 class TestSceneIo:
     def _doc(self):
         return {
@@ -219,6 +234,25 @@ class TestSceneIo:
         assert extent == extent2
         assert again == annotations
         assert again[1].category == 2
+
+    def test_generated_scenes_round_trip_exactly(self, tmp_path, default_scene, noisy_crowd):
+        # Boxes inside the scene come back as written, not re-clipped.
+        for annotations, extent in (default_scene, noisy_crowd[:2]):
+            path = tmp_path / "scene.json"
+            save_scene(path, annotations, extent)
+            assert load_scene(path) == (annotations, extent)
+
+    def test_bytes_equal_json_dump(self, tmp_path, default_scene, noisy_crowd):
+        odd = [
+            Annotation(0, BoundingBox(0.0, 5e-324, 1e16, 3.5), 2),
+            Annotation(7, BoundingBox(1, 2, 3, 4)),
+            Annotation(-3, BoundingBox(-0.0, 1e16, 5e-324, 0.1), True),
+        ]
+        cases = (default_scene, noisy_crowd[:2], ([], SceneExtent(10, 20)), (odd, SceneExtent(5, 5)))
+        for annotations, extent in cases:
+            save_scene(tmp_path / "new.json", annotations, extent)
+            reference_save_scene(tmp_path / "ref.json", annotations, extent)
+            assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     def test_clips_at_ingestion(self, tmp_path):
         doc = self._doc()

@@ -503,6 +503,23 @@ class TestDensityMapInvariants:
         with pytest.raises(ValueError):
             DensityMap(values=np.array([[-0.1, 0.0]]), downsample=32.0)
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({(0, 1): math.nan}, "non-finite"),
+            ({(1, 0): math.inf}, "non-finite"),
+            ({(2, 2): -math.inf}, "non-finite"),
+            ({(1, 1): -1e-300}, "negative"),
+            ({(0, 0): -0.5, (2, 1): math.inf}, "non-finite"),
+        ],
+    )
+    def test_rejects_bad_values_with_their_message(self, bad, message):
+        values = np.ones((3, 3))
+        for index, v in bad.items():
+            values[index] = v
+        with pytest.raises(ValueError, match=f"^density map contains {message} values$"):
+            DensityMap(values=values, downsample=32.0)
+
     def test_rejects_bad_downsample(self):
         with pytest.raises(ValueError):
             DensityMap(values=np.ones((2, 2)), downsample=0.5)

@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from densegaze.core import (
     Annotation,
@@ -9,10 +11,23 @@ from densegaze.core import (
     ScaleLevel,
     SceneExtent,
     iou,
+    overlap_pairs,
     save_scene,
     scale_bucket,
 )
-from densegaze.synth import InfeasibleSceneError, SceneSpec, generate_scene, scene_stats
+from densegaze.synth import (
+    DEFAULT_EXTENT,
+    _MAX_PAIR_IOU,
+    _WIDE_SPAN,
+    InfeasibleSceneError,
+    SceneSpec,
+    _Placer,
+    generate_scene,
+    scene_stats,
+)
+
+# The 2,000-object rung of the scale ladder.
+RUNG_2K = SceneSpec(object_count=2000, foreground_fraction_target=0.12)
 
 
 def union_coverage_oracle(annotations, extent, d=32.0):
@@ -120,6 +135,110 @@ class TestGenerateScene:
             SceneSpec(foreground_fraction_target=0.0)
         with pytest.raises(ValueError):
             SceneSpec(seed=-1)
+
+
+def reference_clears(boxes, x, y, w, h):
+    """The all-pairs overlap check: one vectorized IoU pass of the
+    candidate against every placed box, boxes being an (n, 4) array."""
+    if boxes.shape[0] == 0:
+        return True
+    b = boxes
+    iw = np.minimum(x + w, b[:, 0] + b[:, 2]) - np.maximum(x, b[:, 0])
+    ih = np.minimum(y + h, b[:, 1] + b[:, 3]) - np.maximum(y, b[:, 1])
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    union = w * h + b[:, 2] * b[:, 3] - inter
+    return bool(np.all(inter <= _MAX_PAIR_IOU * union))
+
+
+CELL = 40.0
+EXTENT = DEFAULT_EXTENT
+
+
+@st.composite
+def placement_cases(draw):
+    """Placed boxes and candidates in a 600 px window at the scene origin
+    or its far corner (coordinates near 2.6e4). Coordinates and sides
+    often fall on bucket boundaries; sides reach past the wide-span
+    limit; candidates are often shifted copies of placed boxes, so they
+    exactly touch (iw == 0 or ih == 0), coincide or partly overlap."""
+    base = draw(st.sampled_from([0.0, EXTENT.width - 600.0]))
+    coord = st.one_of(
+        st.integers(0, 60).map(lambda k: base + k * CELL / 4),
+        st.floats(base, base + 600.0, allow_nan=False, allow_infinity=False),
+    )
+    side = st.one_of(
+        st.integers(1, 4 * (_WIDE_SPAN + 2)).map(lambda k: k * CELL / 4),
+        st.floats(0.5, (_WIDE_SPAN + 2) * CELL, allow_nan=False, allow_infinity=False),
+    )
+    box = st.tuples(coord, coord, side, side)
+    placed = draw(st.lists(box, max_size=30))
+    shift = st.sampled_from([-1.0, -0.5, 0.0, 0.1, 1.0])
+    candidates = []
+    for _ in range(draw(st.integers(1, 12))):
+        if placed and draw(st.booleans()):
+            bx, by, bw, bh = placed[draw(st.integers(0, len(placed) - 1))]
+            grow = draw(st.sampled_from([0.5, 0.7, 0.9, 1.0, 2.0]))
+            w, h = bw * grow, bh * grow
+            x, y = bx + draw(shift) * bw, by + draw(shift) * bh
+        else:
+            x, y, w, h = draw(box)
+        # Clamp into the scene the way _Placer.place does.
+        x = min(max(x, 0.0), EXTENT.width - w)
+        y = min(max(y, 0.0), EXTENT.height - h)
+        candidates.append((x, y, w, h))
+    return placed, candidates
+
+
+class TestPlacer:
+    @given(case=placement_cases())
+    def test_bucketed_check_equals_all_pairs(self, case):
+        placed, candidates = case
+        placer = _Placer(np.random.default_rng(0), EXTENT, len(placed), CELL)
+        boxes = np.empty((0, 4))
+        for b in placed:
+            placer._add(*b)
+            boxes = np.vstack([boxes, b])
+        for c in candidates:
+            assert placer._clears_overlap_cap(*c) == reference_clears(boxes, *c)
+
+    def test_wide_boxes_are_checked_both_ways(self):
+        wide = (0.0, 0.0, 10.0, (_WIDE_SPAN + 1) * CELL)
+        narrow = (0.0, 40.0, 10.0, 100.0)  # IoU 0.5 with wide
+        placer = _Placer(np.random.default_rng(0), EXTENT, 2, CELL)
+        placer._add(*wide)
+        assert placer.wide and not placer.buckets
+        assert not placer._clears_overlap_cap(*narrow)
+        placer = _Placer(np.random.default_rng(0), EXTENT, 2, CELL)
+        placer._add(*narrow)
+        assert not placer.wide and placer.buckets
+        assert not placer._clears_overlap_cap(*wide)
+
+    # sha256 of save_scene output, pinned so that any change to the draw
+    # order or to an accept/reject decision shows.
+    @pytest.mark.parametrize(
+        "spec,digest",
+        [
+            (SceneSpec(), "1b00f91f99d635da10a92b5a4f156a23bc4967c5f4c77e286eb6f859132cc7e6"),
+            (
+                SceneSpec(object_count=1000, foreground_fraction_target=0.07),
+                "fcff97550cdeaf49dc4f2aeaa795d1734995d163e2861cc853c1666bf4479e7c",
+            ),
+            (RUNG_2K, "fd357a65e063eb219ae0bfd97599a65e5cfe6ac85decd8bfa65cfe522c88cfee"),
+        ],
+        ids=["stock", "crowd", "rung_2k"],
+    )
+    def test_scene_bytes_pinned(self, tmp_path, spec, digest):
+        path = tmp_path / "scene.json"
+        save_scene(path, *generate_scene(spec))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_overlap_capped_on_2k_rung(self):
+        annotations, _ = generate_scene(RUNG_2K)
+        boxes = np.array([(a.bbox.x, a.bbox.y, a.bbox.width, a.bbox.height) for a in annotations])
+        i, j, v = overlap_pairs(boxes, boxes)
+        others = v[i != j]
+        assert others.size > 0
+        assert others.max() <= 0.35 + 1e-12
 
 
 class TestSceneStats:
