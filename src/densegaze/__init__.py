@@ -22,7 +22,6 @@ from .core import (
 from .density import (
     DensityMap,
     DensityMapSet,
-    GaussianStamp,
     apply_count_scale,
     invert_count_scale,
     read_dmap,

@@ -200,9 +200,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             workers=config.workers,
             nms_iou=config.nms_iou,
         )
-        report.baseline_name = "saccade"
-        if report.pixels_processed:
-            report.budget_ratio = runs["saccade"].pixels_processed / report.pixels_processed
         runs[f"sw_{grid * grid}"] = report
 
     payload = {
@@ -217,7 +214,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     }
     rows = [("run", "patches", "pixels", "wall_s", "ratio_vs_saccade")]
     for name, report in runs.items():
-        ratio = compare_budgets(runs["saccade"], report)
+        ratio = payload["ratios"].get(f"{name}_vs_saccade", 1.0)
         rows.append(
             (
                 name,

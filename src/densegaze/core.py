@@ -36,13 +36,6 @@ class ScaleLevel(IntEnum):
     def label(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def from_label(cls, label: str) -> "ScaleLevel":
-        try:
-            return cls[label.upper()]
-        except KeyError:
-            raise ValueError(f"unknown scale level {label!r}") from None
-
 
 class EvalSizeBucket(Enum):
     """Size buckets for evaluation reporting (area-based, unlike ScaleLevel)."""
@@ -271,25 +264,30 @@ def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
     try:
         extent = SceneExtent(int(doc["scene"]["width"]), int(doc["scene"]["height"]))
         raw = doc["annotations"]
+        if not isinstance(raw, list):
+            raise TypeError("annotations must be a JSON list")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed annotation document {path}: {exc}") from exc
 
     annotations: list[Annotation] = []
     seen: set[int] = set()
-    for entry in raw:
-        ann_id = int(entry["id"])
-        if ann_id in seen:
-            raise ValueError(f"duplicate annotation id {ann_id} in {path}")
-        seen.add(ann_id)
-        x, y, w, h = (float(v) for v in entry["bbox"])
-        box = BoundingBox(x, y, w, h)
-        # Clipping recomputes the width as (x + w) - x, which can move it
-        # by an ulp; only a box that crosses an edge pays that.
-        if not (x >= 0.0 and y >= 0.0 and box.right <= extent.width and box.bottom <= extent.height):
-            box = box.clip(extent)
-            if box is None:
-                raise ValueError(f"annotation {ann_id} lies entirely outside the scene")
-        annotations.append(Annotation(ann_id, box, int(entry.get("category", 0))))
+    for index, entry in enumerate(raw):
+        try:
+            ann_id = int(entry["id"])
+            if ann_id in seen:
+                raise ValueError(f"duplicate annotation id {ann_id} in {path}")
+            seen.add(ann_id)
+            x, y, w, h = (float(v) for v in entry["bbox"])
+            box = BoundingBox(x, y, w, h)
+            # Clipping recomputes the width as (x + w) - x, which can move it
+            # by an ulp; only a box that crosses an edge pays that.
+            if not (x >= 0.0 and y >= 0.0 and box.right <= extent.width and box.bottom <= extent.height):
+                box = box.clip(extent)
+                if box is None:
+                    raise ValueError(f"annotation {ann_id} lies entirely outside the scene")
+            annotations.append(Annotation(ann_id, box, int(entry.get("category", 0))))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"annotation entry {index}: {exc!s}") from exc
     return annotations, extent
 
 

@@ -137,28 +137,6 @@ class DensityMapSet:
         return self.maps[0].downsample
 
 
-@dataclass(frozen=True)
-class GaussianStamp:
-    """A truncated, renormalized Gaussian kernel ready to splat onto a map.
-
-    The kernel has square support of half-width `radius` map cells around
-    the cell containing `center`, is evaluated at cell centers, and is
-    renormalized to total mass exactly 1 after truncation (boundary
-    clipping during splatting may later drop part of that mass).
-    """
-
-    center: tuple[float, float]
-    sigma: float
-    radius: int
-    weights: np.ndarray
-
-    @property
-    def origin(self) -> tuple[int, int]:
-        """Map-cell index of the top-left corner of the support window."""
-        cx, cy = self.center
-        return (int(math.floor(cx)) - self.radius, int(math.floor(cy)) - self.radius)
-
-
 def _sigma_pixels(side):
     """sigma_for's rule on a longest side, or an array of them, as floats."""
     return np.maximum(side // 3, 1.0)
@@ -194,21 +172,6 @@ def _kernels(cx: np.ndarray, cy: np.ndarray, sigma: np.ndarray, radius: int) -> 
 def _radii(sigma: np.ndarray) -> np.ndarray:
     """Support half-widths for clamped sigmas: three sigma, rounded up."""
     return np.ceil(3.0 * sigma).astype(np.int64)
-
-
-def make_stamp(center: tuple[float, float], sigma: float) -> GaussianStamp:
-    """Build the truncated unit-mass kernel for a blob center in map cells.
-
-    sigma is in map cells and is clamped to >= 1 so the blob spans at
-    least a few cells regardless of downsampling.
-    """
-    sigma = max(float(sigma), 1.0)
-    radius = int(_radii(np.array([sigma]))[0])
-    cx, cy = center
-    weights = _kernels(
-        np.array([cx], dtype=np.float64), np.array([cy], dtype=np.float64), np.array([sigma]), radius
-    )[0]
-    return GaussianStamp(center=(cx, cy), sigma=sigma, radius=radius, weights=weights)
 
 
 # Kernel cells evaluated at once: annotations are rendered in chunks of
@@ -254,7 +217,7 @@ def render_gt_density(
 
     side = np.maximum(w, h)
     bucket = np.searchsorted(np.asarray(boundaries, dtype=np.float64), side, side="right").tolist()
-    # sigma_for in map cells, clamped as make_stamp clamps it.
+    # sigma_for in map cells, clamped to one cell so a blob spans a few cells.
     sigma = np.maximum(_sigma_pixels(side) / downsample, 1.0)
     radius = _radii(sigma)
     cx, cy = cx / downsample, cy / downsample

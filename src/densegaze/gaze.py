@@ -130,42 +130,43 @@ class OracleDetector(DetectorAdapter):
     """
 
     def __init__(self, annotations: list[Annotation]):
-        self._annotations = list(annotations)
-        n = len(annotations)
-        self._centers = np.empty((n, 2), dtype=np.float64)
-        self._boxes = np.empty((n, 4), dtype=np.float64)
-        for i, ann in enumerate(annotations):
-            self._centers[i] = ann.bbox.center
-            self._boxes[i] = (ann.bbox.x, ann.bbox.y, ann.bbox.width, ann.bbox.height)
+        self._boxes = np.array(
+            [(a.bbox.x, a.bbox.y, a.bbox.width, a.bbox.height) for a in annotations], dtype=np.float64
+        ).reshape(-1, 4)
+        x, y, w, h = self._boxes.T
+        self._centers = np.stack([x + w / 2.0, y + h / 2.0], axis=1)
+        self._categories = np.array([a.category for a in annotations], dtype=np.int64)
+
+    def _frame_boxes(self, np_patch: NormalizedPatch) -> tuple[np.ndarray, np.ndarray]:
+        """The (k, 4) frame boxes and the categories of the annotations the
+        patch sees, in annotation order.
+
+        Each box goes through to_frame at both corners, then is clipped to
+        the content as max(v, 0.0) and min(v, edge) compare, which keep v
+        on ties; a box left with no width or height is dropped.
+        """
+        region = np_patch.patch.region
+        cx, cy = self._centers.T
+        rows = np.flatnonzero(
+            (cx >= region.x) & (cx < region.right) & (cy >= region.y) & (cy < region.bottom)
+        )
+        x, y, w, h = self._boxes[rows].T
+        zoom = np_patch.zoom
+        x0, y0 = (x - region.x) * zoom, (y - region.y) * zoom
+        x1, y1 = ((x + w) - region.x) * zoom, ((y + h) - region.y) * zoom
+        x0, y0 = np.where(0.0 > x0, 0.0, x0), np.where(0.0 > y0, 0.0, y0)
+        cw, ch = np_patch.content_width, np_patch.content_height
+        x1, y1 = np.where(cw < x1, cw, x1), np.where(ch < y1, ch, y1)
+        fw, fh = x1 - x0, y1 - y0
+        keep = ~((fw <= 0) | (fh <= 0))
+        return np.stack([x0, y0, fw, fh], axis=1)[keep], self._categories[rows[keep]]
 
     def detect(self, np_patch: NormalizedPatch) -> list[PatchDetection]:
-        region = np_patch.patch.region
-        c = self._centers
-        inside = (
-            (c[:, 0] >= region.x)
-            & (c[:, 0] < region.right)
-            & (c[:, 1] >= region.y)
-            & (c[:, 1] < region.bottom)
-        )
-        out: list[PatchDetection] = []
-        for i in np.nonzero(inside)[0]:
-            x, y, w, h = self._boxes[i]
-            fx0, fy0 = np_patch.to_frame(x, y)
-            fx1, fy1 = np_patch.to_frame(x + w, y + h)
-            fx0 = max(fx0, 0.0)
-            fy0 = max(fy0, 0.0)
-            fx1 = min(fx1, np_patch.content_width)
-            fy1 = min(fy1, np_patch.content_height)
-            if fx1 - fx0 <= 0 or fy1 - fy0 <= 0:
-                continue
-            out.append(
-                PatchDetection(
-                    bbox=BoundingBox(fx0, fy0, fx1 - fx0, fy1 - fy0),
-                    score=1.0,
-                    category=self._annotations[i].category,
-                )
-            )
-        return out
+        boxes, categories = self._frame_boxes(np_patch)
+        return [
+            PatchDetection(bbox=BoundingBox(*box), score=1.0, category=category)
+            for box, category in zip(boxes.tolist(), categories.tolist())
+        ]
 
 
 class NoisyDetector(DetectorAdapter):
@@ -200,24 +201,24 @@ class NoisyDetector(DetectorAdapter):
         rng = np.random.default_rng([self.seed, int(p.scale), p.iy, p.ix])
         out: list[PatchDetection] = []
         fw, fh = np_patch.content_width, np_patch.content_height
-        for det in self._oracle.detect(np_patch):
+        boxes, categories = self._oracle._frame_boxes(np_patch)
+        for (bx, by, bw, bh), category in zip(boxes.tolist(), categories.tolist()):
             if rng.random() < self.miss_rate:
                 continue
-            b = det.bbox
             if self.jitter > 0:
                 dx, dy, dw, dh = rng.normal(0.0, self.jitter, size=4)
             else:
                 dx = dy = dw = dh = 0.0
-            w = max(b.width + dw, 1.0)
-            h = max(b.height + dh, 1.0)
-            x = min(max(b.x + dx, 0.0), max(fw - w, 0.0))
-            y = min(max(b.y + dy, 0.0), max(fh - h, 0.0))
+            w = max(bw + dw, 1.0)
+            h = max(bh + dh, 1.0)
+            x = min(max(bx + dx, 0.0), max(fw - w, 0.0))
+            y = min(max(by + dy, 0.0), max(fh - h, 0.0))
             w = min(w, fw - x)
             h = min(h, fh - y)
             if w <= 0 or h <= 0:
                 continue
             score = float(rng.uniform(0.6, 1.0)) if self.jitter > 0 or self.miss_rate > 0 else 1.0
-            out.append(PatchDetection(bbox=BoundingBox(x, y, w, h), score=score, category=det.category))
+            out.append(PatchDetection(bbox=BoundingBox(x, y, w, h), score=score, category=category))
         for _ in range(int(rng.poisson(self.fp_rate))):
             w = float(rng.uniform(4.0, max(fw / 4.0, 8.0)))
             h = float(rng.uniform(4.0, max(fh / 4.0, 8.0)))
@@ -318,23 +319,19 @@ def run_gaze(
             raise AdapterError(f"detector returned {len(outputs)} results for {len(normalized)} patches")
         return [GazeResult(np_p, dets) for np_p, dets in zip(normalized, outputs)]
 
-    def guarded(np_patch: NormalizedPatch) -> list[PatchDetection] | Exception:
-        try:
-            return adapter.detect(np_patch)
-        except Exception as exc:
-            return exc
-
+    results: list[GazeResult] = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(guarded, normalized))
-
-    for np_p, outcome in zip(normalized, outcomes):
-        if isinstance(outcome, Exception):
-            p = np_p.patch
-            raise AdapterError(
-                f"detector failed on patch scale={p.scale.label} cell=({p.ix},{p.iy}): {outcome}",
-                patch=p,
-            ) from outcome
-    return [GazeResult(np_p, out) for np_p, out in zip(normalized, outcomes)]
+        outputs = pool.map(adapter.detect, normalized)
+        for np_p in normalized:
+            try:
+                results.append(GazeResult(np_p, next(outputs)))
+            except Exception as exc:
+                p = np_p.patch
+                raise AdapterError(
+                    f"detector failed on patch scale={p.scale.label} cell=({p.ix},{p.iy}): {exc}",
+                    patch=p,
+                ) from exc
+    return results
 
 
 # Seconds one external detector call may take before it is killed and the

@@ -100,13 +100,11 @@ def global_nms(dets: list[GlobalDetection], iou_threshold: float = DEFAULT_NMS_I
 
 
 def _lift_and_clip(
-    results: list[GazeResult], flat: list[tuple[int, PatchDetection]], extent: SceneExtent
+    results: list[GazeResult], box: np.ndarray, sources: np.ndarray, extent: SceneExtent
 ) -> tuple[np.ndarray, np.ndarray]:
-    """to_global then BoundingBox.clip on every (source, detection) row, as
-    arrays: the clipped (k, 4) boxes and the indices of the k rows that
-    stay inside the scene."""
-    box = np.array([(d.bbox.x, d.bbox.y, d.bbox.width, d.bbox.height) for _, d in flat], dtype=np.float64)
-    sources = np.array([source for source, _ in flat], dtype=np.int64)
+    """to_global then BoundingBox.clip on every patch-frame box row, whose
+    result index is in sources, as arrays: the clipped (k, 4) boxes and
+    the indices of the k rows that stay inside the scene."""
     zoom = np.array([r.normalized.zoom for r in results], dtype=np.float64)[sources]
     origin = np.array([(r.patch.region.x, r.patch.region.y) for r in results], dtype=np.float64)[sources]
     x, y = box[:, 0] / zoom + origin[:, 0], box[:, 1] / zoom + origin[:, 1]
@@ -138,19 +136,16 @@ def merge_run(
     flat = [(source, det) for source, result in enumerate(results) for det in result.detections]
     if not flat:
         return []
-    boxes, inside = _lift_and_clip(results, flat, extent)
-    rows = [flat[r] for r in inside.tolist()]
-    kept = _nms_keep(
-        boxes,
-        np.array([det.score for _, det in rows], dtype=np.float64),
-        np.array([det.category for _, det in rows], dtype=np.int64),
-        np.array([source for source, _ in rows], dtype=np.int64),
-        iou_threshold,
-    )
+    box = np.array([(d.bbox.x, d.bbox.y, d.bbox.width, d.bbox.height) for _, d in flat], dtype=np.float64)
+    sources = np.array([source for source, _ in flat], dtype=np.int64)
+    scores = np.array([det.score for _, det in flat], dtype=np.float64)
+    categories = np.array([det.category for _, det in flat], dtype=np.int64)
+    boxes, inside = _lift_and_clip(results, box, sources, extent)
+    kept = _nms_keep(boxes, scores[inside], categories[inside], sources[inside], iou_threshold)
     out = []
-    for r in kept:
-        source, det = rows[r]
-        out.append(GlobalDetection(BoundingBox(*boxes[r].tolist()), det.score, det.category, source))
+    for r, box in zip(inside[kept].tolist(), boxes[kept].tolist()):
+        source, det = flat[r]
+        out.append(GlobalDetection(BoundingBox(*box), det.score, det.category, source))
     return out
 
 

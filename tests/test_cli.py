@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -152,6 +153,27 @@ class TestRunCommand:
             ) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    # The detections files of the stock scene (oracle) and of the
+    # 1,000-object crowd scene (noisy adapter), pinned byte for byte.
+    @pytest.mark.parametrize(
+        "synth_args, run_args, digest",
+        [
+            ((), ("--adapter", "oracle"),
+             "e79d2c7082f2bf5a0bbb1855e63ef27f51f580cdf616e6acb397b7aa44859329"),
+            (("--objects", 1000, "--foreground", 0.07, "--seed", 0),
+             ("--adapter", "noisy", "--jitter", 2, "--miss-rate", 0.05, "--fp-rate", 3, "--seed", 0),
+             "026b3670881068639ed00f390925af587d2516e7148fbdb2a0f8d33ef4118aac"),
+        ],
+        ids=["stock_oracle", "crowd_noisy"],
+    )
+    def test_detections_bytes_pinned(self, tmp_path, capsys, synth_args, run_args, digest):
+        scene = tmp_path / "scene.json"
+        assert run_cli("synth", "--out", scene, *synth_args) == 0
+        for workers in (1, 4):
+            dets = tmp_path / f"dets_{workers}.json"
+            assert run_cli("run", "--annotations", scene, "--out", dets, "--workers", workers, *run_args) == 0
+            assert hashlib.sha256(dets.read_bytes()).hexdigest() == digest
+
     def test_exec_adapter(self, scene_file, tmp_path):
         script = tmp_path / "null_detector.py"
         script.write_text(
@@ -237,6 +259,26 @@ class TestExitCodes:
         assert run_cli("eval", "--detections", dets, "--annotations", scene_file) == 3
         assert "row 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "eval", "stats"])
+    @pytest.mark.parametrize(
+        "entry",
+        [{"bbox": [1, 2, 3, 4]}, [1, 2, 3, 4], {"id": 1, "bbox": [1, 2, 3]}],
+        ids=["missing_id", "not_an_object", "three_value_bbox"],
+    )
+    def test_malformed_annotation_entry_is_io_error(self, tmp_path, capsys, command, entry):
+        scene = tmp_path / "scene.json"
+        good = {"id": 0, "bbox": [10.0, 10.0, 5.0, 5.0]}
+        scene.write_text(json.dumps({"scene": {"width": 100, "height": 100}, "annotations": [good, entry]}))
+        dets = tmp_path / "dets.json"
+        dets.write_text("[]")
+        args = {
+            "run": ("--out", dets),
+            "eval": ("--detections", dets),
+            "stats": (),
+        }[command]
+        assert run_cli(command, "--annotations", scene, *args) == 3
+        assert "annotation entry 1:" in capsys.readouterr().err
+
     def test_corrupt_dmap_is_io_error(self, scene_file, tmp_path):
         bad = tmp_path / "bad.dmap"
         bad.write_bytes(b"XMAP" + b"\x00" * 64)
@@ -258,6 +300,10 @@ class TestBenchCommand:
         assert payload["runs"]["sw_256"]["patch_count"] == 256
         assert payload["runs"]["sw_64"]["patch_count"] == 64
         assert payload["ratios"]["sw_256_vs_saccade"] >= 6.0
+        # Each run keeps its own budget ratio: the saccade run's is against
+        # the 16x16 sliding window, and a sliding window has none.
+        assert payload["runs"]["sw_256"]["budget_ratio"] is None
+        assert payload["runs"]["saccade"]["budget_ratio"] == payload["ratios"]["sw_256_vs_saccade"]
 
     def test_budgets_deterministic(self, scene_file, tmp_path):
         outs = []

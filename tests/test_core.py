@@ -283,3 +283,11 @@ class TestSceneIo:
         path.write_text(json.dumps({"annotations": []}))
         with pytest.raises(ValueError, match="malformed"):
             load_scene(path)
+
+    def test_rejects_annotations_that_are_not_a_list(self, tmp_path):
+        doc = self._doc()
+        doc["annotations"] = {"0": doc["annotations"][0]}
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed annotation document"):
+            load_scene(path)

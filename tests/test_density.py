@@ -19,7 +19,6 @@ from densegaze.density import (
     DmapVersionError,
     apply_count_scale,
     invert_count_scale,
-    make_stamp,
     read_dmap,
     render_gt_density,
     scale_aware_loss,
@@ -132,26 +131,49 @@ class TestSigma:
         assert sigma_for(BoundingBox(0, 0, 2, 2)) == 1
 
 
+def one_stamp(center, sigma):
+    """render_gt_density of one annotation, on 10-pixel map cells, whose
+    blob has the given sigma (map cells, one decimal) and sits at the
+    given center (map cells) moved 200 cells in from the borders.
+
+    Returns the annotation's plane, the blob center and the sigma that
+    the render used, in map cells.
+    """
+    downsample = 10.0
+    side = round(sigma * downsample) * 3  # sigma_for(box) == side // 3
+    cx, cy = (round(c * downsample) + 2000 for c in center)
+    box = BoundingBox(cx - side / 2.0, cy - side / 2.0, side, side)
+    dset = render_gt_density([Annotation(0, box)], SceneExtent(5000, 5000), downsample)
+    plane = dset[scale_bucket(box)].values
+    cx, cy = box.center
+    return plane, (cx / downsample, cy / downsample), sigma_for(box) / downsample
+
+
 class TestStamp:
     def test_unit_mass(self):
         for sigma in (1.0, 2.5, 7.0):
-            stamp = make_stamp((100.3, 50.7), sigma)
-            assert abs(stamp.weights.sum() - 1.0) < 1e-9
+            plane, _, _ = one_stamp((100.3, 50.7), sigma)
+            assert abs(plane.sum() - 1.0) < 1e-9
 
     def test_truncation_radius(self):
-        stamp = make_stamp((10.0, 10.0), 2.4)
-        assert stamp.radius == 8  # ceil(3 * 2.4)
-        assert stamp.weights.shape == (17, 17)
+        plane, _, _ = one_stamp((10.0, 10.0), 2.4)
+        rows, cols = np.nonzero(plane)
+        # ceil(3 * 2.4) = 8 cells on each side of the center cell.
+        assert (rows.max() - rows.min() + 1, cols.max() - cols.min() + 1) == (17, 17)
 
     def test_sigma_floor(self):
-        assert make_stamp((5.0, 5.0), 0.1).sigma == 1.0
+        floor, _, sigma = one_stamp((5.0, 5.0), 0.1)
+        assert sigma == 0.1
+        assert floor.tobytes() == one_stamp((5.0, 5.0), 1.0)[0].tobytes()
 
     @pytest.mark.parametrize("center,sigma", [((100.3, 50.7), 1.0), ((0.0, 7.5), 0.2), ((3.9, 2.0), 41.7)])
     def test_matches_reference_stamp(self, center, sigma):
-        stamp = make_stamp(center, sigma)
-        x0, y0, kernel = reference_stamp(center, sigma)
-        assert stamp.origin == (x0, y0)
-        assert stamp.weights.tobytes() == kernel.tobytes()
+        plane, used_center, used_sigma = one_stamp(center, sigma)
+        assert used_sigma == sigma
+        x0, y0, kernel = reference_stamp(used_center, used_sigma)
+        expected = np.zeros_like(plane)
+        expected[y0 : y0 + kernel.shape[0], x0 : x0 + kernel.shape[1]] = kernel
+        assert plane.tobytes() == expected.tobytes()
 
 
 class TestRender:

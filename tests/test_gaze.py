@@ -1,9 +1,11 @@
+import math
 import sys
 import textwrap
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densegaze.core import Annotation, BoundingBox, ScaleLevel, SceneExtent
 from densegaze import gaze
@@ -25,6 +27,71 @@ from densegaze.saccade import Patch, saccade
 
 def make_patch(x, y, w, h, scale=ScaleLevel.TINY, ix=0, iy=0, density=1.0):
     return Patch(scale=scale, ix=ix, iy=iy, region=BoundingBox(x, y, w, h), density=density)
+
+
+def reference_oracle_detect(annotations, np_patch):
+    """OracleDetector.detect one annotation at a time: the half-open center
+    rule, to_frame on both corners, and the content clip with max/min."""
+    region = np_patch.patch.region
+    out = []
+    for ann in annotations:
+        cx, cy = ann.bbox.center
+        if not (region.x <= cx < region.right and region.y <= cy < region.bottom):
+            continue
+        x, y, w, h = ann.bbox.x, ann.bbox.y, ann.bbox.width, ann.bbox.height
+        fx0, fy0 = np_patch.to_frame(x, y)
+        fx1, fy1 = np_patch.to_frame(x + w, y + h)
+        fx0 = max(fx0, 0.0)
+        fy0 = max(fy0, 0.0)
+        fx1 = min(fx1, np_patch.content_width)
+        fy1 = min(fy1, np_patch.content_height)
+        if fx1 - fx0 <= 0 or fy1 - fy0 <= 0:
+            continue
+        out.append(PatchDetection(BoundingBox(fx0, fy0, fx1 - fx0, fy1 - fy0), 1.0, ann.category))
+    return out
+
+
+def detection_bits(dets):
+    """Each detection's box as float.hex (so -0.0 and 0.0 differ), score and
+    category, with the category's type."""
+    return [
+        (tuple(float(v).hex() for v in (d.bbox.x, d.bbox.y, d.bbox.width, d.bbox.height)),
+         float(d.score).hex(), type(d.category), d.category)
+        for d in dets
+    ]
+
+
+@st.composite
+def oracle_cases(draw):
+    """A patch on a quarter-pixel grid, far from or near the origin, zoomed
+    above or below 1, and boxes around it: centers on every edge
+    (including the excluded right and bottom ones) and one ulp to either
+    side of it, boxes overhanging each edge, and boxes too thin to
+    survive the frame transform."""
+    base = draw(st.sampled_from([0.0, 1000.25, 2.6e4]))
+    rx, ry = base + draw(st.integers(0, 64)) / 4.0, base + draw(st.integers(0, 64)) / 4.0
+    rw, rh = draw(st.integers(1, 256)) / 4.0, draw(st.integers(1, 256)) / 4.0
+    standard = (draw(st.integers(1, 512)), draw(st.integers(1, 512)))
+    np_patch = normalize(make_patch(rx, ry, rw, rh), standard)
+    region = np_patch.patch.region
+
+    def center(lo, size):
+        edge = st.sampled_from([lo, lo + size])
+        return draw(
+            st.one_of(
+                st.sampled_from([lo, lo + size, lo + size / 2.0]),
+                st.tuples(edge, st.sampled_from([-math.inf, math.inf])).map(lambda e: math.nextafter(*e)),
+                st.integers(-32, 4 * int(size) + 32).map(lambda q: lo + q / 4.0),
+            )
+        )
+
+    side = st.one_of(st.integers(1, 4 * 256).map(lambda q: q / 4.0), st.sampled_from([1e-13, 5e-324, 1e-9]))
+    annotations = []
+    for i in range(draw(st.integers(0, 12))):
+        cx, cy = center(region.x, region.width), center(region.y, region.height)
+        w, h = draw(side), draw(side)
+        annotations.append(Annotation(i, BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h), draw(st.integers(0, 3))))
+    return annotations, np_patch
 
 
 class TestNormalize:
@@ -105,6 +172,14 @@ class TestOracleDetector:
         assert det.bbox.width == pytest.approx(expected_w)
         assert det.bbox.x == pytest.approx(950.0)
 
+    @settings(max_examples=400, deadline=None)
+    @given(oracle_cases())
+    def test_matches_the_per_box_reference(self, case):
+        annotations, np_patch = case
+        expected = reference_oracle_detect(annotations, np_patch)
+        got = OracleDetector(annotations).detect(np_patch)
+        assert detection_bits(got) == detection_bits(expected)
+
     def test_center_rule_half_open(self):
         ann = Annotation(0, BoundingBox(950, 0, 100, 100))  # center x exactly 1000
         oracle = OracleDetector([ann])
@@ -177,12 +252,17 @@ class TestCostedDetector:
 
 
 class _ExplodingAdapter(DetectorAdapter):
-    def __init__(self, bad_cell):
-        self.bad_cell = bad_cell
+    """Fails on the given cells; the first of them fails last in time."""
+
+    def __init__(self, *bad_cells):
+        self.bad_cells = bad_cells
 
     def detect(self, np_patch):
-        if (np_patch.patch.ix, np_patch.patch.iy) == self.bad_cell:
-            raise RuntimeError("synthetic failure")
+        cell = (np_patch.patch.ix, np_patch.patch.iy)
+        if cell == self.bad_cells[0]:
+            time.sleep(0.05)
+        if cell in self.bad_cells:
+            raise RuntimeError(f"synthetic failure at {cell}")
         return []
 
 
@@ -210,12 +290,14 @@ class TestRunGaze:
             )
             assert [r.detections for r in again] == [r.detections for r in base]
 
-    def test_adapter_failure_carries_patch_identity(self):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_adapter_failure_carries_patch_identity(self, workers):
         patches = self._patches()
         with pytest.raises(AdapterError) as err:
-            run_gaze(patches, _ExplodingAdapter((3, 0)), (1000, 1000), workers=4)
+            run_gaze(patches, _ExplodingAdapter((3, 0), (4, 0)), (1000, 1000), workers=workers)
         assert err.value.patch is patches[3]
         assert "cell=(3,0)" in str(err.value)
+        assert "failure at (3, 0)" in str(err.value)
 
     @pytest.mark.parametrize(
         "batch,message",
