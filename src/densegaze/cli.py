@@ -11,6 +11,7 @@ import argparse
 import json
 import shlex
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .config import CONFIG_KEYS, ConfigError, ConfigKey, PipelineConfig, build_config, parse_value
@@ -21,6 +22,7 @@ from .evaluate import (
     compare_budgets,
     curve_csv,
     evaluate_detections,
+    format_table,
     sliding_window_run,
 )
 from .gaze import (
@@ -61,6 +63,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     _add_key_flags(parser, CONFIG_KEYS)
 
 
+def _add_adapter_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--adapter", default="oracle", help="oracle, noisy, or exec:<command>")
+    parser.add_argument("--jitter", type=float, default=0.0, help="noisy adapter box jitter (px)")
+    parser.add_argument("--miss-rate", type=float, default=0.0, help="noisy adapter miss probability")
+    parser.add_argument("--fp-rate", type=float, default=0.0, help="noisy adapter false positives per patch")
+
+
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return build_config(args.config, _key_values(args, CONFIG_KEYS))
 
@@ -83,9 +92,11 @@ def _make_adapter(args: argparse.Namespace, annotations, config: PipelineConfig)
     raise ConfigError(f"unknown adapter {choice!r}; expected oracle, noisy, or exec:<command>")
 
 
-def _print_json(payload) -> None:
-    json.dump(payload, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+def _write_json(payload, path=None) -> None:
+    """payload as indented JSON and a newline, to the file at path or to stdout."""
+    with open(path, "w", encoding="utf-8") if path is not None else nullcontext(sys.stdout) as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -95,7 +106,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     annotations, extent = generate_scene(spec)
     save_scene(args.out, annotations, extent)
-    _print_json({"annotations": len(annotations), "out": str(args.out)})
+    _write_json({"annotations": len(annotations), "out": str(args.out)})
     return EXIT_OK
 
 
@@ -104,7 +115,7 @@ def cmd_density(args: argparse.Namespace) -> int:
     annotations, extent = load_scene(args.annotations)
     dset = render_gt_density(annotations, extent, config.downsample, config.boundaries)
     write_dmap(dset, args.out)
-    _print_json(
+    _write_json(
         {
             "out": str(args.out),
             "map_size": [dset.width, dset.height],
@@ -128,11 +139,8 @@ def cmd_saccade(args: argparse.Namespace) -> int:
         expansion=config.expansion,
         extent=extent,
     )
-    manifest = patch_manifest(patches)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
-    _print_json({"patches": len(patches), "out": str(args.out)})
+    _write_json(patch_manifest(patches), args.out)
+    _write_json({"patches": len(patches), "out": str(args.out)})
     return EXIT_OK
 
 
@@ -146,12 +154,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.dump_density:
         write_dmap(run.density, args.dump_density)
     if args.dump_patches:
-        with open(args.dump_patches, "w", encoding="utf-8") as fh:
-            json.dump(patch_manifest(run.patches), fh, indent=1)
-            fh.write("\n")
+        _write_json(patch_manifest(run.patches), args.dump_patches)
     if args.dump_config:
         Path(args.dump_config).write_text(config.to_file_text(), encoding="utf-8")
-    _print_json(
+    _write_json(
         {
             "detections": len(run.detections),
             "out": str(args.out),
@@ -167,13 +173,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     annotations, _ = load_scene(args.annotations)
     report = evaluate_detections(detections, annotations)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        _write_json(report.to_json_dict(), args.out)
     if args.pr_csv:
         Path(args.pr_csv).write_text(curve_csv(report.overall), encoding="utf-8")
     print(report.to_table())
-    _print_json(report.to_json_dict())
+    _write_json(report.to_json_dict())
     return EXIT_OK
 
 
@@ -181,8 +185,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     annotations, extent = load_scene(args.annotations)
 
-    def build_adapter() -> CostedDetector:
-        return CostedDetector(_make_adapter(args, annotations, config), args.cost_per_pixel)
+    def build_adapter() -> DetectorAdapter:
+        # The costed wrapper answers patch by patch, so an adapter is
+        # wrapped only when there is busy work to meter.
+        adapter = _make_adapter(args, annotations, config)
+        return CostedDetector(adapter, args.cost_per_pixel) if args.cost_per_pixel else adapter
 
     runs: dict[str, BudgetReport] = {}
     pipeline_adapter = build_adapter()
@@ -216,28 +223,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for name, report in runs.items():
         ratio = payload["ratios"].get(f"{name}_vs_saccade", 1.0)
         rows.append(
-            (
-                name,
-                str(report.patch_count),
-                str(report.pixels_processed),
-                f"{report.wall_seconds:.3f}",
-                f"{ratio:.2f}",
-            )
+            (name, str(report.patch_count), str(report.pixels_processed),
+             f"{report.wall_seconds:.3f}", f"{ratio:.2f}")
         )
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    print("\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows))
+    print(format_table(rows))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-    _print_json(payload)
+        _write_json(payload, args.out)
+    _write_json(payload)
     return EXIT_OK
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     annotations, extent = load_scene(args.annotations)
     stats = scene_stats(annotations, extent)
-    _print_json(stats.to_json_dict())
+    _write_json(stats.to_json_dict())
     return EXIT_OK
 
 
@@ -269,15 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline: density, saccade, gaze, merge")
     p.add_argument("--annotations", required=True)
-    p.add_argument("--adapter", default="oracle", help="oracle, noisy, or exec:<command>")
+    _add_adapter_flags(p)
     p.add_argument("--density", help="use a precomputed DMAP instead of rendering")
     p.add_argument("--out", required=True, help="detections JSON to write")
     p.add_argument("--dump-density", help="also write the density maps as DMAP")
     p.add_argument("--dump-patches", help="also write the patch manifest JSON")
     p.add_argument("--dump-config", help="also write the effective config file")
-    p.add_argument("--jitter", type=float, default=0.0, help="noisy adapter box jitter (px)")
-    p.add_argument("--miss-rate", type=float, default=0.0, help="noisy adapter miss probability")
-    p.add_argument("--fp-rate", type=float, default=0.0, help="noisy adapter false positives per patch")
     _add_config_flags(p)
     p.set_defaults(func=cmd_run)
 
@@ -290,11 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="compare pixel budgets: saccade vs sliding windows")
     p.add_argument("--annotations", required=True)
-    p.add_argument("--adapter", default="oracle", help="oracle, noisy, or exec:<command>")
+    _add_adapter_flags(p)
     p.add_argument("--cost-per-pixel", type=float, default=0.0, help="busy-work per pixel")
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--miss-rate", type=float, default=0.0)
-    p.add_argument("--fp-rate", type=float, default=0.0)
     p.add_argument("--out", help="write the comparison JSON here")
     _add_config_flags(p)
     p.set_defaults(func=cmd_bench)

@@ -13,9 +13,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from .core import ScaleLevel, SceneExtent
+from .core import DEFAULT_SCALE_BOUNDARIES, ConfigError, ScaleLevel, SceneExtent
 from .density import DEFAULT_DOWNSAMPLE
-from .core import DEFAULT_SCALE_BOUNDARIES
 from .gaze import default_standard_size
 from .merge import DEFAULT_NMS_IOU
 from .saccade import (
@@ -23,11 +22,8 @@ from .saccade import (
     DEFAULT_EXPANSION,
     DEFAULT_GRID_CELLS,
     GridSpec,
+    default_grids,
 )
-
-
-class ConfigError(Exception):
-    """Invalid configuration value, file, or key."""
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,7 @@ class PipelineConfig:
         return self
 
     def grid_specs(self) -> dict[ScaleLevel, GridSpec]:
-        return {s: GridSpec(s, self.grids[int(s)], self.grids[int(s)]) for s in ScaleLevel}
+        return default_grids(self.grids)
 
     def resolve_standard_size(self, extent: SceneExtent) -> tuple[int, int]:
         """The configured standard size, or the scene-derived default."""
@@ -166,14 +162,20 @@ def parse_config_file(path: str | Path, keys: Mapping[str, ConfigKey] = CONFIG_K
     return values
 
 
+def layer_settings(
+    file_path: str | Path | None, overrides: dict | None, keys: Mapping[str, ConfigKey], what: str
+) -> dict:
+    """The values of a key=value file, if any, under explicit overrides;
+    an override key not in keys is rejected as an unknown `what` key."""
+    values = parse_config_file(file_path, keys) if file_path is not None else {}
+    overrides = overrides or {}
+    unknown = set(overrides) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    values.update(overrides)
+    return values
+
+
 def build_config(file_path: str | Path | None = None, overrides: dict | None = None) -> PipelineConfig:
     """Layer file values and explicit overrides onto the defaults."""
-    config = PipelineConfig()
-    if file_path is not None:
-        config = replace(config, **parse_config_file(file_path))
-    if overrides:
-        unknown = set(overrides) - set(CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        config = replace(config, **overrides)
-    return config.validate()
+    return replace(PipelineConfig(), **layer_settings(file_path, overrides, CONFIG_KEYS, "config")).validate()

@@ -21,6 +21,10 @@ EVAL_SMALL_AREA = 96.0 * 96.0
 EVAL_LARGE_AREA = 288.0 * 288.0
 
 
+class ConfigError(ValueError):
+    """Invalid configuration value, file, or key, or one the input cannot meet."""
+
+
 class ScaleLevel(IntEnum):
     """Coarse object-size bucket routing objects to density maps and grids.
 
@@ -125,6 +129,25 @@ class SceneExtent:
 
     def contains_point(self, x: float, y: float) -> bool:
         return 0.0 <= x <= self.width and 0.0 <= y <= self.height
+
+
+def box_array(items) -> np.ndarray:
+    """The (n, 4) float64 x, y, width, height of every item's .bbox."""
+    return np.array(
+        [(b.x, b.y, b.width, b.height) for b in (item.bbox for item in items)], dtype=np.float64
+    ).reshape(-1, 4)
+
+
+def clip_corners(x0, y0, x1, y1, width: float, height: float) -> tuple[np.ndarray, np.ndarray]:
+    """BoundingBox.clip on arrays of corners, to a width x height frame at
+    the origin: the (k, 4) boxes not left with width or height <= 0, and
+    their row indices. The comparisons are those of max(v, 0.0) and
+    min(v, edge), which keep v on ties, so -0.0 stays -0.0."""
+    x0, y0 = np.where(0.0 > x0, 0.0, x0), np.where(0.0 > y0, 0.0, y0)
+    x1, y1 = np.where(width < x1, width, x1), np.where(height < y1, height, y1)
+    w, h = x1 - x0, y1 - y0
+    rows = np.flatnonzero(~((w <= 0) | (h <= 0)))
+    return np.stack([x0, y0, w, h], axis=1)[rows], rows
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -252,6 +275,16 @@ def eval_size_bucket(box: BoundingBox) -> EvalSizeBucket:
     return EvalSizeBucket.LARGE
 
 
+def json_int(v, what: str) -> int:
+    """A JSON integer field: an int that is not a bool, or a float with no
+    fractional part; anything else raises ValueError naming the field."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ValueError(f"{what} must be an integer, got {v!r}")
+
+
 def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
     """Read the annotation interchange JSON.
 
@@ -262,18 +295,19 @@ def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
-        extent = SceneExtent(int(doc["scene"]["width"]), int(doc["scene"]["height"]))
+        scene = doc["scene"]
+        extent = SceneExtent(json_int(scene["width"], "width"), json_int(scene["height"], "height"))
         raw = doc["annotations"]
         if not isinstance(raw, list):
             raise TypeError("annotations must be a JSON list")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed annotation document {path}: {exc}") from exc
 
     annotations: list[Annotation] = []
     seen: set[int] = set()
     for index, entry in enumerate(raw):
         try:
-            ann_id = int(entry["id"])
+            ann_id = json_int(entry["id"], "id")
             if ann_id in seen:
                 raise ValueError(f"duplicate annotation id {ann_id} in {path}")
             seen.add(ann_id)
@@ -285,7 +319,7 @@ def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
                 box = box.clip(extent)
                 if box is None:
                     raise ValueError(f"annotation {ann_id} lies entirely outside the scene")
-            annotations.append(Annotation(ann_id, box, int(entry.get("category", 0))))
+            annotations.append(Annotation(ann_id, box, json_int(entry.get("category", 0), "category")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"annotation entry {index}: {exc!s}") from exc
     return annotations, extent

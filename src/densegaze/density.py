@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Annotation, BoundingBox, ScaleLevel, SceneExtent, scale_bucket
-from .core import DEFAULT_SCALE_BOUNDARIES
+from .core import DEFAULT_SCALE_BOUNDARIES, Annotation, BoundingBox, ScaleLevel, SceneExtent
+from .core import box_array, scale_bucket
 
 DEFAULT_DOWNSAMPLE = 32.0
 DEFAULT_ALPHAS = (0.01, 0.1, 10.0, 100.0)
@@ -199,10 +199,7 @@ def render_gt_density(
     map_h = int(math.ceil(extent.height / downsample))
     planes = [np.zeros((map_h, map_w), dtype=np.float64) for _ in ScaleLevel]
 
-    boxes = np.array(
-        [(a.bbox.x, a.bbox.y, a.bbox.width, a.bbox.height) for a in annotations], dtype=np.float64
-    ).reshape(-1, 4)
-    x, y, w, h = boxes.T
+    x, y, w, h = box_array(annotations).T
     cx, cy = x + w / 2.0, y + h / 2.0
     outside = np.flatnonzero(
         ~((0.0 <= cx) & (cx <= extent.width) & (0.0 <= cy) & (cy <= extent.height))
@@ -303,7 +300,8 @@ def write_dmap(dset: DensityMapSet, path: str | Path) -> None:
 
 
 def read_dmap(path: str | Path) -> DensityMapSet:
-    """Read a DMAP file, validating magic, version, plane count, and size."""
+    """Read a DMAP file, validating magic, version, plane count, and size;
+    DensityMap's value check, raised as DmapValueError, covers the planes."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _DMAP_HEADER.size:
@@ -326,13 +324,10 @@ def read_dmap(path: str | Path) -> DensityMapSet:
             f"{path}: payload needs {expected} bytes, file has {len(blob)}"
         )
 
-    maps = []
-    offset = _DMAP_HEADER.size
-    for _ in range(DMAP_PLANES):
-        plane = np.frombuffer(blob, dtype="<f4", count=cells, offset=offset)
-        offset += cells * 4
-        values = plane.reshape(height, width).astype(np.float64)
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise DmapValueError(f"{path}: plane contains negative or non-finite densities")
-        maps.append(DensityMap(values=values, downsample=float(downsample)))
-    return DensityMapSet(maps=tuple(maps))
+    planes = np.frombuffer(blob, dtype="<f4", count=DMAP_PLANES * cells, offset=_DMAP_HEADER.size)
+    planes = planes.reshape(DMAP_PLANES, height, width).astype(np.float64)
+    try:
+        maps = tuple(DensityMap(values=p, downsample=float(downsample)) for p in planes)
+    except ValueError as exc:
+        raise DmapValueError(f"{path}: {exc}") from exc
+    return DensityMapSet(maps=maps)

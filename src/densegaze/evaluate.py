@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,15 +23,15 @@ from .core import (
     EVAL_LARGE_AREA,
     EVAL_SMALL_AREA,
     Annotation,
-    BoundingBox,
     EvalSizeBucket,
     ScaleLevel,
     SceneExtent,
+    box_array,
     overlap_pairs,
 )
 from .gaze import DetectorAdapter, run_gaze
 from .merge import DEFAULT_NMS_IOU, GlobalDetection, detection_columns, merge_run
-from .saccade import DEFAULT_EXPANSION, Patch, expand_and_clip
+from .saccade import DEFAULT_EXPANSION, Patch, _axis_bounds, _cell_region, expand_and_clip
 
 MATCH_IOU = 0.5
 _RECALL_SAMPLES = np.linspace(0.0, 1.0, 101)
@@ -69,9 +69,12 @@ class EvalReport:
     def ap50(self) -> float:
         return self.overall.ap
 
+    def _named_slices(self) -> list[tuple[str, ApResult]]:
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+
     def to_json_dict(self) -> dict:
-        def slice_dict(r: ApResult) -> dict:
-            return {
+        return {
+            name: {
                 "ap50": r.ap,
                 "gt_count": r.gt_count,
                 "matched": r.matched,
@@ -79,26 +82,23 @@ class EvalReport:
                 "missed": r.missed,
                 "recall": r.recall,
             }
-
-        return {
-            "overall": slice_dict(self.overall),
-            "small": slice_dict(self.small),
-            "middle": slice_dict(self.middle),
-            "large": slice_dict(self.large),
+            for name, r in self._named_slices()
         }
 
     def to_table(self) -> str:
-        rows = [("slice", "ap50", "gts", "matched", "fps", "missed")]
-        for name, r in (
-            ("overall", self.overall),
-            ("small", self.small),
-            ("middle", self.middle),
-            ("large", self.large),
-        ):
-            rows.append((name, f"{r.ap:.4f}", str(r.gt_count), str(r.matched),
-                         str(r.false_positives), str(r.missed)))
-        widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-        return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows)
+        return format_table(
+            [("slice", "ap50", "gts", "matched", "fps", "missed")]
+            + [
+                (name, f"{r.ap:.4f}", str(r.gt_count), str(r.matched), str(r.false_positives), str(r.missed))
+                for name, r in self._named_slices()
+            ]
+        )
+
+
+def format_table(rows: list[tuple[str, ...]]) -> str:
+    """Rows of cells as left-justified columns two spaces apart."""
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows)
 
 
 def _sorted_order(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -108,8 +108,7 @@ def _sorted_order(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 def _annotation_columns(gts: list[Annotation]) -> tuple[np.ndarray, np.ndarray]:
     """Boxes (m, 4) and categories of the ground truth."""
-    boxes = np.array([(g.bbox.x, g.bbox.y, g.bbox.width, g.bbox.height) for g in gts], dtype=np.float64)
-    return boxes.reshape(-1, 4), np.array([g.category for g in gts], dtype=np.int64)
+    return box_array(gts), np.array([g.category for g in gts], dtype=np.int64)
 
 
 def _match(
@@ -294,23 +293,12 @@ def sliding_window_patches(extent: SceneExtent, grid: int, expansion: float = DE
     saccade patches for parity; no density selection."""
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
-    xs = [(i * extent.width) // grid for i in range(grid + 1)]
-    ys = [(j * extent.height) // grid for j in range(grid + 1)]
+    xs, ys = _axis_bounds(extent.width, grid), _axis_bounds(extent.height, grid)
     patches = []
     for iy in range(grid):
         for ix in range(grid):
-            region = BoundingBox(
-                float(xs[ix]), float(ys[iy]), float(xs[ix + 1] - xs[ix]), float(ys[iy + 1] - ys[iy])
-            )
-            patches.append(
-                Patch(
-                    scale=ScaleLevel.TINY,
-                    ix=ix,
-                    iy=iy,
-                    region=expand_and_clip(region, expansion, extent),
-                    density=0.0,
-                )
-            )
+            region = _cell_region(xs, ys, ix, iy, 1.0, extent)
+            patches.append(Patch(ScaleLevel.TINY, ix, iy, expand_and_clip(region, expansion, extent), 0.0))
     return patches
 
 

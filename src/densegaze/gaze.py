@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Annotation, BoundingBox, SceneExtent
+from .core import Annotation, BoundingBox, SceneExtent, box_array, clip_corners, json_int
 from .saccade import DEFAULT_EXPANSION, Patch
 
 
@@ -130,20 +130,15 @@ class OracleDetector(DetectorAdapter):
     """
 
     def __init__(self, annotations: list[Annotation]):
-        self._boxes = np.array(
-            [(a.bbox.x, a.bbox.y, a.bbox.width, a.bbox.height) for a in annotations], dtype=np.float64
-        ).reshape(-1, 4)
+        self._boxes = box_array(annotations)
         x, y, w, h = self._boxes.T
         self._centers = np.stack([x + w / 2.0, y + h / 2.0], axis=1)
         self._categories = np.array([a.category for a in annotations], dtype=np.int64)
 
     def _frame_boxes(self, np_patch: NormalizedPatch) -> tuple[np.ndarray, np.ndarray]:
         """The (k, 4) frame boxes and the categories of the annotations the
-        patch sees, in annotation order.
-
-        Each box goes through to_frame at both corners, then is clipped to
-        the content as max(v, 0.0) and min(v, edge) compare, which keep v
-        on ties; a box left with no width or height is dropped.
+        patch sees, in annotation order: both corners through to_frame,
+        then clip_corners to the content.
         """
         region = np_patch.patch.region
         cx, cy = self._centers.T
@@ -151,15 +146,11 @@ class OracleDetector(DetectorAdapter):
             (cx >= region.x) & (cx < region.right) & (cy >= region.y) & (cy < region.bottom)
         )
         x, y, w, h = self._boxes[rows].T
-        zoom = np_patch.zoom
-        x0, y0 = (x - region.x) * zoom, (y - region.y) * zoom
-        x1, y1 = ((x + w) - region.x) * zoom, ((y + h) - region.y) * zoom
-        x0, y0 = np.where(0.0 > x0, 0.0, x0), np.where(0.0 > y0, 0.0, y0)
-        cw, ch = np_patch.content_width, np_patch.content_height
-        x1, y1 = np.where(cw < x1, cw, x1), np.where(ch < y1, ch, y1)
-        fw, fh = x1 - x0, y1 - y0
-        keep = ~((fw <= 0) | (fh <= 0))
-        return np.stack([x0, y0, fw, fh], axis=1)[keep], self._categories[rows[keep]]
+        boxes, keep = clip_corners(
+            *np_patch.to_frame(x, y), *np_patch.to_frame(x + w, y + h),
+            np_patch.content_width, np_patch.content_height,
+        )
+        return boxes, self._categories[rows[keep]]
 
     def detect(self, np_patch: NormalizedPatch) -> list[PatchDetection]:
         boxes, categories = self._frame_boxes(np_patch)
@@ -403,16 +394,16 @@ class ExternalCommandDetector(DetectorAdapter):
                 raise AdapterError(f"external detector wrote invalid JSON: {exc}") from exc
 
         results: list[list[PatchDetection]] = [[] for _ in normalized]
-        for row in rows:
+        for index, row in enumerate(rows):
             try:
-                pid = int(row["patch_id"])
+                pid = json_int(row["patch_id"], "patch_id")
                 x, y, w, h = (float(v) for v in row["bbox"])
                 if not all(math.isfinite(v) for v in (x, y, w, h)):
                     raise ValueError("bbox values must be finite")
                 score = float(row["score"])
-                category = int(row.get("category", 0))
+                category = json_int(row.get("category", 0), "category")
             except (KeyError, TypeError, ValueError) as exc:
-                raise AdapterError(f"malformed detection row {row!r}: {exc}") from exc
+                raise AdapterError(f"malformed detection row {index} {row!r}: {exc}") from exc
             if not 0 <= pid < len(normalized):
                 raise AdapterError(f"detection references unknown patch_id {pid}")
             np_p = normalized[pid]

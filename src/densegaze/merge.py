@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BoundingBox, SceneExtent, json_number, overlap_pairs
+from .core import BoundingBox, SceneExtent, box_array, clip_corners, json_int, json_number, overlap_pairs
 from .gaze import GazeResult, NormalizedPatch, PatchDetection
 
 DEFAULT_NMS_IOU = 0.5
@@ -44,9 +44,8 @@ def to_global(det: PatchDetection, np_patch: NormalizedPatch, source: int = -1) 
 
 def detection_columns(dets: list[GlobalDetection]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Boxes (n, 4), scores, categories and sources of a detection list."""
-    boxes = np.array([(d.bbox.x, d.bbox.y, d.bbox.width, d.bbox.height) for d in dets], dtype=np.float64)
     return (
-        boxes.reshape(-1, 4),
+        box_array(dets),
         np.array([d.score for d in dets], dtype=np.float64),
         np.array([d.category for d in dets], dtype=np.int64),
         np.array([d.source for d in dets], dtype=np.int64),
@@ -93,7 +92,8 @@ def global_nms(dets: list[GlobalDetection], iou_threshold: float = DEFAULT_NMS_I
 
     A box is dropped when it overlaps an already-kept box of the same
     category with IoU strictly above the threshold. Ties are broken by
-    (score desc, x asc, y asc, source asc) so output is deterministic.
+    (score desc, x asc, y asc, source asc, width asc, height asc,
+    category asc), so output is deterministic.
     """
     _check_threshold(iou_threshold)
     return [dets[r] for r in _nms_keep(*detection_columns(dets), iou_threshold)]
@@ -113,14 +113,8 @@ def _lift_and_clip(
     invalid = np.flatnonzero(~(np.isfinite(lifted).all(axis=1) & (w > 0) & (h > 0)))
     if invalid.size:
         BoundingBox(*lifted[invalid[0]].tolist())  # raises to_global's ValueError
-    # Written as clip's max(v, 0.0) and min(edge, size) evaluate, which
-    # keep the first argument on ties (so -0.0 stays -0.0).
-    x0, y0 = np.where(x < 0.0, 0.0, x), np.where(y < 0.0, 0.0, y)
-    right, bottom = x + w, y + h
-    x1 = np.where(float(extent.width) < right, float(extent.width), right)
-    y1 = np.where(float(extent.height) < bottom, float(extent.height), bottom)
-    inside = np.flatnonzero((x1 - x0 > 0) & (y1 - y0 > 0))
-    return np.stack([x0, y0, x1 - x0, y1 - y0], axis=1)[inside], inside
+    # Every row is finite with positive size here, so no clipped size is NaN.
+    return clip_corners(x, y, x + w, y + h, float(extent.width), float(extent.height))
 
 
 def merge_run(
@@ -133,20 +127,19 @@ def merge_run(
     GlobalDetection objects are built only for the rows NMS keeps.
     """
     _check_threshold(iou_threshold)
-    flat = [(source, det) for source, result in enumerate(results) for det in result.detections]
-    if not flat:
+    dets = [det for result in results for det in result.detections]
+    if not dets:
         return []
-    box = np.array([(d.bbox.x, d.bbox.y, d.bbox.width, d.bbox.height) for _, d in flat], dtype=np.float64)
-    sources = np.array([source for source, _ in flat], dtype=np.int64)
-    scores = np.array([det.score for _, det in flat], dtype=np.float64)
-    categories = np.array([det.category for _, det in flat], dtype=np.int64)
-    boxes, inside = _lift_and_clip(results, box, sources, extent)
+    sources = np.repeat(np.arange(len(results)), [len(result.detections) for result in results])
+    scores = np.array([det.score for det in dets], dtype=np.float64)
+    categories = np.array([det.category for det in dets], dtype=np.int64)
+    boxes, inside = _lift_and_clip(results, box_array(dets), sources, extent)
     kept = _nms_keep(boxes, scores[inside], categories[inside], sources[inside], iou_threshold)
-    out = []
-    for r, box in zip(inside[kept].tolist(), boxes[kept].tolist()):
-        source, det = flat[r]
-        out.append(GlobalDetection(BoundingBox(*box), det.score, det.category, source))
-    return out
+    rows = inside[kept]
+    return [
+        GlobalDetection(BoundingBox(*box), dets[r].score, dets[r].category, source)
+        for r, source, box in zip(rows.tolist(), sources[rows].tolist(), boxes[kept].tolist())
+    ]
 
 
 def write_detections(path: str | Path, dets: list[GlobalDetection]) -> None:
@@ -186,7 +179,8 @@ def read_detections(path: str | Path) -> list[GlobalDetection]:
             score = float(row["score"])
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"score {score} is outside [0, 1]")
-            dets.append(GlobalDetection(BoundingBox(x, y, w, h), score, int(row.get("category", 0))))
+            category = json_int(row.get("category", 0), "category")
+            dets.append(GlobalDetection(BoundingBox(x, y, w, h), score, category))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"detection row {index}: {exc!s}") from exc
     return dets

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundingBox, ScaleLevel, SceneExtent
+from .core import BoundingBox, ConfigError, ScaleLevel, SceneExtent
 from .density import DensityMap, DensityMapSet
 
 DEFAULT_GRID_CELLS = (16, 8, 4, 2)
@@ -93,9 +93,13 @@ def _axis_bounds(map_cells: int, grid_cells: int) -> list[int]:
 
 
 def _grid_bounds(dmap: DensityMap, grid: GridSpec, extent: SceneExtent) -> tuple[list[int], list[int]]:
-    """Cell boundaries (xs, ys) in map cells, checked against the map and scene."""
+    """Cell boundaries (xs, ys) in map cells, checked against the map and scene.
+
+    A grid finer than the map is a configuration error; a map that
+    overruns the scene is an input error.
+    """
     if grid.cells_x > dmap.width or grid.cells_y > dmap.height:
-        raise ValueError(
+        raise ConfigError(
             f"grid {grid.cells_x}x{grid.cells_y} is finer than the {dmap.width}x{dmap.height} map"
         )
     xs = _axis_bounds(dmap.width, grid.cells_x)
@@ -192,7 +196,7 @@ def _check_selection(threshold: float, expansion: float, extent: SceneExtent | N
     if expansion < 1:
         raise ValueError(f"expansion must be >= 1, got {expansion}")
     if extent is None:
-        raise ValueError("select_patches requires the scene extent for clipping")
+        raise ValueError("patch selection requires the scene extent for clipping")
 
 
 def select_patches(
@@ -234,11 +238,9 @@ def saccade(
     The same patches as select_patches over grid_densities, but regions
     are built only for the cells above the threshold.
     """
-    if extent is None:
-        raise ValueError("saccade requires the scene extent")
+    _check_selection(threshold, expansion, extent)
     if grids is None:
         grids = default_grids()
-    _check_selection(threshold, expansion, extent)
     patches: list[Patch] = []
     for scale in ScaleLevel:
         dmap = dset[scale]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, ConfigKey, parse_config_file
+from .config import ConfigKey, layer_settings
 from .core import Annotation, BoundingBox, ScaleLevel, SceneExtent, scale_bucket
 
 DEFAULT_EXTENT = SceneExtent(26368, 14976)
@@ -325,12 +325,7 @@ SCENE_KEYS: dict[str, ConfigKey] = {
 
 def build_scene_spec(file_path=None, overrides: dict | None = None) -> SceneSpec:
     """Layer file values and explicit overrides onto the SceneSpec defaults."""
-    values = parse_config_file(file_path, SCENE_KEYS) if file_path is not None else {}
-    overrides = overrides or {}
-    unknown = set(overrides) - set(SCENE_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown scene spec keys: {sorted(unknown)}")
-    values.update(overrides)
+    values = layer_settings(file_path, overrides, SCENE_KEYS, "scene spec")
     defaults = SceneSpec()
     extent = SceneExtent(
         values.pop("width", defaults.extent.width),

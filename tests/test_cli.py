@@ -120,6 +120,26 @@ class TestRunCommand:
         assert report["overall"]["ap50"] >= 0.99
         assert (tmp_path / "pr.csv").read_text().startswith("recall,precision")
 
+    def test_eval_table_text(self, tmp_path, capsys):
+        scene, dets = tmp_path / "scene.json", tmp_path / "dets.json"
+        scene.write_text(json.dumps({"scene": {"width": 1000, "height": 1000}, "annotations": [
+            {"id": 0, "bbox": [10, 10, 20, 20]}, {"id": 1, "bbox": [100, 100, 150, 150]},
+            {"id": 2, "bbox": [400, 400, 300, 300]},
+        ]}))
+        dets.write_text(json.dumps([
+            {"bbox": [10, 10, 20, 20], "score": 0.9}, {"bbox": [400, 400, 300, 290], "score": 0.8},
+            {"bbox": [800, 800, 10, 10], "score": 0.5},
+        ]))
+        assert run_cli("eval", "--detections", dets, "--annotations", scene) == 0
+        table = capsys.readouterr().out.split("\n")[:5]
+        assert table == [
+            "slice    ap50    gts  matched  fps  missed",
+            "overall  0.6634  3    2        1    1     ",
+            "small    1.0000  1    1        1    0     ",
+            "middle   0.0000  1    0        0    1     ",
+            "large    1.0000  1    1        0    0     ",
+        ]
+
     def test_empty_scene_run(self, tmp_path, capsys):
         scene = tmp_path / "empty.json"
         run_cli("synth", "--out", scene, "--objects", 0)
@@ -279,6 +299,57 @@ class TestExitCodes:
         assert run_cli(command, "--annotations", scene, *args) == 3
         assert "annotation entry 1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scene_doc, rows, message",
+        [
+            ({"width": 100, "height": 100}, [{"id": 3.7, "bbox": [1, 1, 2, 2]}],
+             "annotation entry 1: id must be an integer, got 3.7"),
+            ({"width": 100, "height": 100}, [{"id": True, "bbox": [1, 1, 2, 2]}],
+             "annotation entry 1: id must be an integer, got True"),
+            ({"width": 100, "height": 100}, [{"id": 1, "bbox": [1, 1, 2, 2], "category": "7"}],
+             "annotation entry 1: category must be an integer, got '7'"),
+            ({"width": 1000.9, "height": 100}, [], "width must be an integer, got 1000.9"),
+        ],
+        ids=["fractional_id", "boolean_id", "string_category", "fractional_width"],
+    )
+    def test_non_integer_scene_field_is_io_error(self, tmp_path, capsys, scene_doc, rows, message):
+        scene = tmp_path / "scene.json"
+        good = {"id": 0, "bbox": [10.0, 10.0, 5.0, 5.0]}
+        scene.write_text(json.dumps({"scene": scene_doc, "annotations": [good, *rows]}))
+        assert run_cli("stats", "--annotations", scene) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("category", [2.5, "7", True])
+    def test_non_integer_detection_category_is_io_error(self, scene_file, tmp_path, capsys, category):
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps([{"bbox": [10.0, 10.0, 5.0, 5.0], "score": 0.5, "category": category}]))
+        assert run_cli("eval", "--detections", dets, "--annotations", scene_file) == 3
+        assert f"detection row 0: category must be an integer, got {category!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("patch_id", 0.9), ("patch_id", "0"), ("category", True)])
+    def test_non_integer_exec_field_is_adapter_error(self, scene_file, tmp_path, capsys, field, value):
+        row = {"patch_id": 0, "bbox": [0, 0, 10, 10], "score": 0.9, field: value}
+        script = tmp_path / "detector.py"
+        script.write_text(f"import json, sys\njson.dump([{row!r}], open(sys.argv[2], 'w'))\n")
+        assert run_cli(
+            "run", "--annotations", scene_file, "--out", tmp_path / "d.json",
+            "--adapter", f"exec:{sys.executable} {script}",
+        ) == 4
+        assert "malformed detection row 0 " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--grids", "2000,8,4,2"), ("--downsample", 20000)])
+    def test_grid_finer_than_map_is_config_error(self, scene_file, tmp_path, capsys, flag, value):
+        assert run_cli("run", "--annotations", scene_file, "--out", tmp_path / "d.json", flag, value) == 2
+        assert "is finer than the" in capsys.readouterr().err
+
+    def test_map_overrunning_the_scene_is_io_error(self, scene_file, tmp_path, capsys):
+        dmap = tmp_path / "maps.dmap"
+        assert run_cli("density", "--annotations", scene_file, "--out", dmap) == 0
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps({"scene": {"width": 1000, "height": 1000}, "annotations": []}))
+        assert run_cli("run", "--annotations", small, "--density", dmap, "--out", tmp_path / "d.json") == 3
+        assert "overruns the 1000x1000 scene" in capsys.readouterr().err
+
     def test_corrupt_dmap_is_io_error(self, scene_file, tmp_path):
         bad = tmp_path / "bad.dmap"
         bad.write_bytes(b"XMAP" + b"\x00" * 64)
@@ -304,6 +375,21 @@ class TestBenchCommand:
         # the 16x16 sliding window, and a sliding window has none.
         assert payload["runs"]["sw_256"]["budget_ratio"] is None
         assert payload["runs"]["saccade"]["budget_ratio"] == payload["ratios"]["sw_256_vs_saccade"]
+        table = [line.split() for line in capsys.readouterr().out.split("\n")[:4]]
+        assert table[0] == ["run", "patches", "pixels", "wall_s", "ratio_vs_saccade"]
+        assert [row[0] for row in table[1:]] == ["saccade", "sw_256", "sw_64"]
+
+    def test_exec_adapter_runs_once_per_run(self, scene_file, tmp_path):
+        calls = tmp_path / "calls.txt"
+        script = tmp_path / "counting_detector.py"
+        script.write_text(
+            "import sys\n"
+            f"open({str(calls)!r}, 'a').write('call\\n')\n"
+            "open(sys.argv[2], 'w').write('[]')\n"
+        )
+        adapter = f"exec:{sys.executable} {script}"
+        assert run_cli("bench", "--annotations", scene_file, "--adapter", adapter) == 0
+        assert calls.read_text() == "call\n" * 3
 
     def test_budgets_deterministic(self, scene_file, tmp_path):
         outs = []

@@ -235,6 +235,18 @@ class TestSceneIo:
         assert again == annotations
         assert again[1].category == 2
 
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        doc = self._doc()
+        doc["scene"] = {"width": 1000.0, "height": 800.0}
+        doc["annotations"][1].update(id=1.0, category=2.0)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc))
+        annotations, extent = load_scene(path)
+        assert [(type(v), v) for v in (extent.width, extent.height)] == [(int, 1000), (int, 800)]
+        assert [(type(a.id), a.id, type(a.category), a.category) for a in annotations] == [
+            (int, 0, int, 0), (int, 1, int, 2)
+        ]
+
     def test_generated_scenes_round_trip_exactly(self, tmp_path, default_scene, noisy_crowd):
         # Boxes inside the scene come back as written, not re-clipped.
         for annotations, extent in (default_scene, noisy_crowd[:2]):

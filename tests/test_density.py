@@ -520,6 +520,19 @@ class TestDmapFormat:
             read_dmap(path)
 
 
+    def test_nan_plane_rejected_naming_the_file(self, tmp_path):
+        rng = np.random.default_rng(10)
+        path = tmp_path / "maps.dmap"
+        write_dmap(self._f32_set(rng), path)
+        blob = bytearray(path.read_bytes())
+        last_of_third_plane = 28 + 3 * 12 * 12 * 4 - 4
+        blob[last_of_third_plane : last_of_third_plane + 4] = struct.pack("<f", math.nan)
+        path.write_bytes(bytes(blob))
+        message = f"^{re.escape(str(path))}: density map contains non-finite values$"
+        with pytest.raises(DmapValueError, match=message):
+            read_dmap(path)
+
+
 class TestDensityMapInvariants:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):

@@ -282,6 +282,35 @@ class TestMergeRun:
             BoundingBox(70.0, 15.0, 10.0, 10.0),
         ]
 
+    def test_clip_keeps_edge_ties_and_negative_zero(self):
+        # Boxes that end exactly on the scene's edges, and one lifted to a
+        # left and top of -0.0, which the clip keeps as BoundingBox.clip
+        # does. -0.0 == 0.0, so the bits are compared.
+        extent = SceneExtent(100, 80)
+        patches = [
+            Patch(ScaleLevel.TINY, 0, 0, BoundingBox(-0.0, -0.0, 50, 80), 1.0),
+            Patch(ScaleLevel.TINY, 1, 0, BoundingBox(50, 10, 50, 70), 1.0),
+        ]
+        dets = [
+            [PatchDetection(BoundingBox(-0.0, -0.0, 20, 10), 0.9),
+             PatchDetection(BoundingBox(0.0, 70.0, 10, 10), 0.8)],
+            [PatchDetection(BoundingBox(40, 60, 10, 10), 0.7)],
+        ]
+        results = [GazeResult(normalize(p, (50, 80)), d) for p, d in zip(patches, dets)]
+
+        def bits(merged):
+            return [
+                (tuple(v.hex() for v in (d.bbox.x, d.bbox.y, d.bbox.width, d.bbox.height)), d.score, d.source)
+                for d in merged
+            ]
+
+        merged = merge_run(results, extent)
+        assert bits(merged) == bits(reference_merge(results, extent))
+        assert [(d.bbox.x, d.bbox.right, d.bbox.bottom) for d in merged] == [
+            (0.0, 20.0, 10.0), (0.0, 10.0, 80.0), (90.0, 100.0, 80.0)
+        ]
+        assert str(merged[0].bbox.x) == str(merged[0].bbox.y) == "-0.0"
+
     def test_noisy_crowd_matches_reference(self, noisy_crowd):
         _, extent, run = noisy_crowd
         assert run.detections == reference_merge(run.gaze_results, extent)

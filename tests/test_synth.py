@@ -15,6 +15,7 @@ from densegaze.core import (
     save_scene,
     scale_bucket,
 )
+from densegaze.config import ConfigError
 from densegaze.synth import (
     DEFAULT_EXTENT,
     _MAX_PAIR_IOU,
@@ -22,6 +23,7 @@ from densegaze.synth import (
     InfeasibleSceneError,
     SceneSpec,
     _Placer,
+    build_scene_spec,
     generate_scene,
     scene_stats,
 )
@@ -135,6 +137,11 @@ class TestGenerateScene:
             SceneSpec(foreground_fraction_target=0.0)
         with pytest.raises(ValueError):
             SceneSpec(seed=-1)
+
+
+    def test_unknown_spec_override_rejected(self):
+        with pytest.raises(ConfigError, match=r"^unknown scene spec keys: \['object_cont'\]$"):
+            build_scene_spec(overrides={"object_cont": 80, "seed": 1})
 
 
 def reference_clears(boxes, x, y, w, h):
