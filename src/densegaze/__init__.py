@@ -30,16 +30,7 @@ from .density import (
     sigma_for,
     write_dmap,
 )
-from .evaluate import (
-    ApResult,
-    BudgetReport,
-    EvalReport,
-    ap50,
-    compare_budgets,
-    evaluate_detections,
-    pixel_budget,
-    sliding_window_run,
-)
+from .evaluate import ApResult, EvalReport, ap50, evaluate_detections
 from .gaze import (
     AdapterError,
     CostedDetector,
@@ -55,7 +46,14 @@ from .gaze import (
     run_gaze,
 )
 from .merge import GlobalDetection, global_nms, merge_run, to_global
-from .pipeline import PipelineRun, run_pipeline
+from .pipeline import (
+    BudgetReport,
+    PipelineRun,
+    compare_budgets,
+    pixel_budget,
+    run_pipeline,
+    sliding_window_run,
+)
 from .saccade import (
     CellDensity,
     GridSpec,

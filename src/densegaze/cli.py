@@ -11,20 +11,13 @@ import argparse
 import json
 import shlex
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from .config import CONFIG_KEYS, ConfigError, ConfigKey, PipelineConfig, build_config, parse_value
 from .core import ScaleLevel, load_scene, save_scene
 from .density import DmapError, read_dmap, render_gt_density, write_dmap
-from .evaluate import (
-    BudgetReport,
-    compare_budgets,
-    curve_csv,
-    evaluate_detections,
-    format_table,
-    sliding_window_run,
-)
+from .evaluate import curve_csv, evaluate_detections, format_table
 from .gaze import (
     AdapterError,
     CostedDetector,
@@ -34,8 +27,8 @@ from .gaze import (
     OracleDetector,
 )
 from .merge import read_detections, write_detections
-from .pipeline import run_pipeline
-from .saccade import patch_manifest, saccade
+from .pipeline import BudgetReport, compare_budgets, run_pipeline, select, sliding_window_run
+from .saccade import patch_manifest
 from .synth import SCENE_KEYS, InfeasibleSceneError, build_scene_spec, generate_scene, scene_stats
 
 EXIT_OK = 0
@@ -74,21 +67,31 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return build_config(args.config, _key_values(args, CONFIG_KEYS))
 
 
+@contextmanager
+def _as_config_error():
+    """A ValueError raised in the block, such as a bad spec or adapter
+    parameter, is a configuration error (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _make_adapter(args: argparse.Namespace, annotations, config: PipelineConfig) -> DetectorAdapter:
     choice = args.adapter
-    if choice == "oracle":
-        return OracleDetector(annotations)
-    if choice == "noisy":
-        return NoisyDetector(
-            annotations,
-            jitter=args.jitter,
-            miss_rate=args.miss_rate,
-            fp_rate=args.fp_rate,
-            seed=config.seed,
-        )
-    if choice.startswith("exec:"):
-        command = shlex.split(choice[len("exec:") :])
-        return ExternalCommandDetector(command)
+    with _as_config_error():
+        if choice == "oracle":
+            return OracleDetector(annotations)
+        if choice == "noisy":
+            return NoisyDetector(
+                annotations,
+                jitter=args.jitter,
+                miss_rate=args.miss_rate,
+                fp_rate=args.fp_rate,
+                seed=config.seed,
+            )
+        if choice.startswith("exec:"):
+            return ExternalCommandDetector(shlex.split(choice[len("exec:") :]))
     raise ConfigError(f"unknown adapter {choice!r}; expected oracle, noisy, or exec:<command>")
 
 
@@ -100,10 +103,8 @@ def _write_json(payload, path=None) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    try:
+    with _as_config_error():
         spec = build_scene_spec(args.spec, _key_values(args, SCENE_KEYS))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     annotations, extent = generate_scene(spec)
     save_scene(args.out, annotations, extent)
     _write_json({"annotations": len(annotations), "out": str(args.out)})
@@ -128,17 +129,7 @@ def cmd_density(args: argparse.Namespace) -> int:
 def cmd_saccade(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     annotations, extent = load_scene(args.annotations)
-    if args.density:
-        dset = read_dmap(args.density)
-    else:
-        dset = render_gt_density(annotations, extent, config.downsample, config.boundaries)
-    patches = saccade(
-        dset,
-        grids=config.grid_specs(),
-        threshold=config.threshold,
-        expansion=config.expansion,
-        extent=extent,
-    )
+    _, patches = select(annotations, extent, config, read_dmap(args.density) if args.density else None)
     _write_json(patch_manifest(patches), args.out)
     _write_json({"patches": len(patches), "out": str(args.out)})
     return EXIT_OK
@@ -189,7 +180,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         # The costed wrapper answers patch by patch, so an adapter is
         # wrapped only when there is busy work to meter.
         adapter = _make_adapter(args, annotations, config)
-        return CostedDetector(adapter, args.cost_per_pixel) if args.cost_per_pixel else adapter
+        with _as_config_error():
+            return CostedDetector(adapter, args.cost_per_pixel) if args.cost_per_pixel else adapter
 
     runs: dict[str, BudgetReport] = {}
     pipeline_adapter = build_adapter()

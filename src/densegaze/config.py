@@ -128,11 +128,11 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
 }
 
 
-def parse_value(name: str, raw: str, keys: Mapping[str, ConfigKey]) -> Any:
-    """Parse one raw value by its key's rule."""
+def parse_value(name: str, raw: str, keys: Mapping[str, ConfigKey], what: str = "config") -> Any:
+    """Parse one raw value by its key's rule; an unknown name is an unknown `what` key."""
     key = keys.get(name)
     if key is None:
-        raise ConfigError(f"unknown config key {name!r}")
+        raise ConfigError(f"unknown {what} key {name!r}")
     raw = raw.strip()
     try:
         return key.parse(raw)
@@ -140,13 +140,15 @@ def parse_value(name: str, raw: str, keys: Mapping[str, ConfigKey]) -> Any:
         raise ConfigError(f"cannot parse {name}={raw!r}: {exc}") from exc
 
 
-def parse_config_file(path: str | Path, keys: Mapping[str, ConfigKey] = CONFIG_KEYS) -> dict:
-    """Read a line-oriented key=value file; '#' starts a comment."""
+def parse_config_file(
+    path: str | Path, keys: Mapping[str, ConfigKey] = CONFIG_KEYS, what: str = "config"
+) -> dict:
+    """Read a line-oriented key=value file of `what` keys; '#' starts a comment."""
     values: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -156,7 +158,7 @@ def parse_config_file(path: str | Path, keys: Mapping[str, ConfigKey] = CONFIG_K
         name, raw = stripped.split("=", 1)
         name = name.strip()
         try:
-            values[name] = parse_value(name, raw, keys)
+            values[name] = parse_value(name, raw, keys, what)
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
@@ -167,7 +169,7 @@ def layer_settings(
 ) -> dict:
     """The values of a key=value file, if any, under explicit overrides;
     an override key not in keys is rejected as an unknown `what` key."""
-    values = parse_config_file(file_path, keys) if file_path is not None else {}
+    values = parse_config_file(file_path, keys, what) if file_path is not None else {}
     overrides = overrides or {}
     unknown = set(overrides) - set(keys)
     if unknown:

@@ -1,20 +1,14 @@
-"""COCO-style AP50 evaluation and the compute-budget comparison harness.
+"""COCO-style AP50 evaluation of detections against ground truth.
 
 Evaluation always happens in original-image coordinates. AP uses greedy
 score-ordered matching at IoU >= 0.5 with one match per ground-truth box
 and 101-point interpolation; size-bucketed AP follows the COCO area-range
 convention (out-of-bucket matches are ignored, unmatched detections count
 as false positives only in their own size bucket).
-
-Speed against external systems is not reproducible here, so the harness
-reports a deterministic normalized-pixel budget as the cost proxy, plus
-informative wall-clock timings from the costed adapter.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -24,14 +18,10 @@ from .core import (
     EVAL_SMALL_AREA,
     Annotation,
     EvalSizeBucket,
-    ScaleLevel,
-    SceneExtent,
     box_array,
     overlap_pairs,
 )
-from .gaze import DetectorAdapter, run_gaze
-from .merge import DEFAULT_NMS_IOU, GlobalDetection, detection_columns, merge_run
-from .saccade import DEFAULT_EXPANSION, Patch, _axis_bounds, _cell_region, expand_and_clip
+from .merge import GlobalDetection, detection_columns
 
 MATCH_IOU = 0.5
 _RECALL_SAMPLES = np.linspace(0.0, 1.0, 101)
@@ -252,77 +242,3 @@ def curve_csv(result: ApResult) -> str:
     lines.extend(f"{r:.6f},{p:.6f}" for r, p in result.curve)
     return "\n".join(lines) + "\n"
 
-
-@dataclass
-class BudgetReport:
-    """Deterministic pixel budget of a run plus informative wall-clock."""
-
-    pixels_processed: int
-    patch_count: int
-    wall_seconds: float = 0.0
-    baseline_name: str = ""
-    budget_ratio: float | None = None
-
-    def to_json_dict(self) -> dict:
-        ratio: float | None = self.budget_ratio
-        infinite = ratio is not None and math.isinf(ratio)
-        return {
-            "pixels_processed": self.pixels_processed,
-            "patch_count": self.patch_count,
-            "wall_seconds": self.wall_seconds,
-            "baseline": self.baseline_name,
-            "budget_ratio": None if infinite else ratio,
-            "budget_ratio_infinite": infinite,
-        }
-
-
-def pixel_budget(patch_count: int, standard_size: tuple[int, int]) -> int:
-    """Total normalized-frame pixels for a patch count at one standard size."""
-    return patch_count * standard_size[0] * standard_size[1]
-
-
-def compare_budgets(saccade_report: BudgetReport, baseline_report: BudgetReport) -> float:
-    """Baseline pixels over saccade pixels; inf when the saccade run was empty."""
-    if saccade_report.pixels_processed == 0:
-        return math.inf
-    return baseline_report.pixels_processed / saccade_report.pixels_processed
-
-
-def sliding_window_patches(extent: SceneExtent, grid: int, expansion: float = DEFAULT_EXPANSION) -> list[Patch]:
-    """Every cell of a grid x grid partition of the scene, expanded like
-    saccade patches for parity; no density selection."""
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
-    xs, ys = _axis_bounds(extent.width, grid), _axis_bounds(extent.height, grid)
-    patches = []
-    for iy in range(grid):
-        for ix in range(grid):
-            region = _cell_region(xs, ys, ix, iy, 1.0, extent)
-            patches.append(Patch(ScaleLevel.TINY, ix, iy, expand_and_clip(region, expansion, extent), 0.0))
-    return patches
-
-
-def sliding_window_run(
-    extent: SceneExtent,
-    grid: int,
-    adapter: DetectorAdapter,
-    standard_size: tuple[int, int],
-    expansion: float = DEFAULT_EXPANSION,
-    workers: int = 1,
-    nms_iou: float = DEFAULT_NMS_IOU,
-) -> tuple[list[GlobalDetection], BudgetReport]:
-    """Selection-free baseline: detect on every grid cell, then merge.
-
-    The budget charges every cell.
-    """
-    patches = sliding_window_patches(extent, grid, expansion)
-    start = time.perf_counter()
-    results = run_gaze(patches, adapter, standard_size, workers=workers)
-    dets = merge_run(results, extent, nms_iou)
-    elapsed = time.perf_counter() - start
-    report = BudgetReport(
-        pixels_processed=pixel_budget(len(patches), standard_size),
-        patch_count=len(patches),
-        wall_seconds=elapsed,
-    )
-    return dets, report

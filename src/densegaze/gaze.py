@@ -401,6 +401,8 @@ class ExternalCommandDetector(DetectorAdapter):
                 if not all(math.isfinite(v) for v in (x, y, w, h)):
                     raise ValueError("bbox values must be finite")
                 score = float(row["score"])
+                if not 0.0 <= score <= 1.0:  # also rejects NaN
+                    raise ValueError(f"score {score} is outside [0, 1]")
                 category = json_int(row.get("category", 0), "category")
             except (KeyError, TypeError, ValueError) as exc:
                 raise AdapterError(f"malformed detection row {index} {row!r}: {exc}") from exc
@@ -413,8 +415,6 @@ class ExternalCommandDetector(DetectorAdapter):
             y1 = min(y + h, np_p.content_height)
             if x1 - x0 <= 0 or y1 - y0 <= 0:
                 continue
-            if not (math.isfinite(score) and 0.0 <= score <= 1.0):
-                raise AdapterError(f"detection score {score} outside [0, 1]")
             results[pid].append(
                 PatchDetection(bbox=BoundingBox(x0, y0, x1 - x0, y1 - y0), score=score, category=category)
             )

@@ -25,11 +25,11 @@ from densegaze.density import (
     scale_aware_loss,
     write_dmap,
 )
-from densegaze.evaluate import ap50, match_detections, pixel_budget, sliding_window_run
+from densegaze.evaluate import ap50, match_detections
 from densegaze.gaze import CostedDetector, OracleDetector, normalize
 from densegaze.merge import GlobalDetection, global_nms, to_global
 from densegaze.gaze import PatchDetection
-from densegaze.pipeline import run_pipeline
+from densegaze.pipeline import pixel_budget, run_pipeline, sliding_window_run
 from densegaze.saccade import Patch, build_integral, grid_densities, select_patches
 from densegaze.synth import SceneSpec, generate_scene, scene_stats
 

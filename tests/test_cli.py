@@ -63,10 +63,11 @@ class TestSynthCommand:
         assert run_cli("synth", "--out", overridden, "--spec", spec, "--seed", 5) == 0
         assert overridden.read_bytes() != from_file.read_bytes()
 
-    def test_bad_spec_file_exits_2(self, tmp_path):
+    def test_bad_spec_file_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "scene.spec"
         spec.write_text("object_cont=80\n")
         assert run_cli("synth", "--out", tmp_path / "x.json", "--spec", spec) == 2
+        assert "scene.spec:1: unknown scene spec key 'object_cont'" in capsys.readouterr().err
 
     def test_stats_reports_buckets(self, scene_file, capsys):
         assert run_cli("stats", "--annotations", scene_file) == 0
@@ -106,6 +107,26 @@ class TestSaccadeCommand:
                        "--out", via_file) == 0
         # f32 quantization in the DMAP file must not change selection.
         assert len(json.loads(direct.read_text())) == len(json.loads(via_file.read_text()))
+
+
+class TestSelectionStep:
+    # Non-default grids, threshold and expansion, so a command that
+    # selected with stock settings would write a different manifest.
+    FLAGS = ("--grids", "12,6,3,2", "--threshold", 0.1, "--expansion", 1.3)
+
+    @pytest.mark.parametrize("from_dmap", [False, True], ids=["rendered", "dmap"])
+    def test_saccade_manifest_equals_run_dump(self, scene_file, tmp_path, capsys, from_dmap):
+        density = ()
+        if from_dmap:
+            dmap = tmp_path / "maps.dmap"
+            assert run_cli("density", "--annotations", scene_file, "--out", dmap, "--downsample", 8) == 0
+            density = ("--density", dmap)
+        manifest, dumped = tmp_path / "manifest.json", tmp_path / "dumped.json"
+        assert run_cli("saccade", "--annotations", scene_file, "--out", manifest, *density, *self.FLAGS) == 0
+        assert run_cli("run", "--annotations", scene_file, "--out", tmp_path / "d.json",
+                       "--dump-patches", dumped, *density, *self.FLAGS) == 0
+        assert json.loads(manifest.read_text())
+        assert manifest.read_bytes() == dumped.read_bytes()
 
 
 class TestRunCommand:
@@ -272,6 +293,36 @@ class TestExitCodes:
             "run", "--annotations", scene_file, "--out", tmp_path / "d.json",
             "--adapter", f"exec:{sys.executable} {script}",
         ) == 4
+
+    def test_out_of_range_score_on_a_box_outside_the_content_is_adapter_error(self, scene_file, tmp_path, capsys):
+        # The box lies wholly left of the patch content, so a clip alone would drop it.
+        row = {"patch_id": 0, "bbox": [-50, 0, 10, 10], "score": 7.5}
+        script = tmp_path / "detector.py"
+        script.write_text(f"import json, sys\njson.dump([{row!r}], open(sys.argv[2], 'w'))\n")
+        assert run_cli(
+            "run", "--annotations", scene_file, "--out", tmp_path / "d.json",
+            "--adapter", f"exec:{sys.executable} {script}",
+        ) == 4
+        err = capsys.readouterr().err
+        assert "malformed detection row 0 " in err
+        assert "score 7.5 is outside [0, 1]" in err
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("run", ("--adapter", "noisy", "--jitter", -1)),
+            ("run", ("--adapter", "noisy", "--miss-rate", 2)),
+            ("run", ("--adapter", "noisy", "--fp-rate", -1)),
+            ("run", ("--adapter", "exec:")),
+            ("bench", ("--cost-per-pixel", -1)),
+        ],
+        ids=["jitter", "miss_rate", "fp_rate", "empty_exec_command", "cost_per_pixel"],
+    )
+    def test_bad_adapter_parameter_is_config_error(self, scene_file, tmp_path, capsys, command, flags):
+        out = tmp_path / "out.json"
+        assert run_cli(command, "--annotations", scene_file, "--out", out, *flags) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_out_of_range_score_in_eval_is_io_error(self, scene_file, tmp_path, capsys):
         dets = tmp_path / "dets.json"

@@ -16,20 +16,22 @@ from densegaze.core import (
 from densegaze.density import render_gt_density
 from densegaze.evaluate import (
     ApResult,
-    BudgetReport,
     EvalReport,
     _interpolated_ap,
     ap50,
-    compare_budgets,
     curve_csv,
     evaluate_detections,
     match_detections,
+)
+from densegaze.gaze import OracleDetector, default_standard_size, run_gaze
+from densegaze.merge import GlobalDetection, merge_run
+from densegaze.pipeline import (
+    BudgetReport,
+    compare_budgets,
     pixel_budget,
     sliding_window_patches,
     sliding_window_run,
 )
-from densegaze.gaze import OracleDetector, default_standard_size, run_gaze
-from densegaze.merge import GlobalDetection, merge_run
 from densegaze.saccade import saccade
 
 

@@ -414,3 +414,14 @@ class TestExternalCommandDetector:
         adapter = ExternalCommandDetector(self._write_script(tmp_path, body))
         with pytest.raises(AdapterError, match="score"):
             adapter.detect_batch([normalize(make_patch(0, 0, 1000, 1000), (1000, 1000))])
+
+    def test_nan_score_rejected(self, tmp_path):
+        body = textwrap.dedent(
+            """
+            import sys
+            open(sys.argv[2], "w").write('[{"patch_id": 0, "bbox": [0, 0, 10, 10], "score": NaN}]')
+            """
+        )
+        adapter = ExternalCommandDetector(self._write_script(tmp_path, body))
+        with pytest.raises(AdapterError, match=r"malformed detection row 0 .*: score nan is outside \[0, 1\]"):
+            adapter.detect_batch([normalize(make_patch(0, 0, 1000, 1000), (1000, 1000))])
