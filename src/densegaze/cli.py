@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import sys
 from contextlib import contextmanager, nullcontext
@@ -201,19 +202,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         runs[f"sw_{grid * grid}"] = report
 
+    ratios = {name: compare_budgets(runs["saccade"], r) for name, r in runs.items() if name != "saccade"}
     payload = {
         "note": "pixel budgets are the deterministic cost proxy; wall-clock is informative only",
         "standard_size": list(run.standard_size),
         "runs": {name: r.to_json_dict() for name, r in runs.items()},
-        "ratios": {
-            f"{name}_vs_saccade": compare_budgets(runs["saccade"], report)
-            for name, report in runs.items()
-            if name != "saccade"
-        },
+        # JSON has no infinity: a ratio over an empty saccade run is null.
+        "ratios": {f"{name}_vs_saccade": None if math.isinf(r) else r for name, r in ratios.items()},
     }
     rows = [("run", "patches", "pixels", "wall_s", "ratio_vs_saccade")]
     for name, report in runs.items():
-        ratio = payload["ratios"].get(f"{name}_vs_saccade", 1.0)
+        ratio = ratios.get(name, 1.0)
         rows.append(
             (name, str(report.patch_count), str(report.pixels_processed),
              f"{report.wall_seconds:.3f}", f"{ratio:.2f}")

@@ -138,11 +138,12 @@ def box_array(items) -> np.ndarray:
     ).reshape(-1, 4)
 
 
-def clip_corners(x0, y0, x1, y1, width: float, height: float) -> tuple[np.ndarray, np.ndarray]:
+def clip_corners(x0, y0, x1, y1, width, height) -> tuple[np.ndarray, np.ndarray]:
     """BoundingBox.clip on arrays of corners, to a width x height frame at
-    the origin: the (k, 4) boxes not left with width or height <= 0, and
-    their row indices. The comparisons are those of max(v, 0.0) and
-    min(v, edge), which keep v on ties, so -0.0 stays -0.0."""
+    the origin (one frame for all rows, or one per row): the (k, 4) boxes
+    not left with width or height <= 0, and their row indices. The
+    comparisons are those of max(v, 0.0) and min(v, edge), which keep v on
+    ties, so -0.0 stays -0.0."""
     x0, y0 = np.where(0.0 > x0, 0.0, x0), np.where(0.0 > y0, 0.0, y0)
     x1, y1 = np.where(width < x1, width, x1), np.where(height < y1, height, y1)
     w, h = x1 - x0, y1 - y0
@@ -285,6 +286,26 @@ def json_int(v, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {v!r}")
 
 
+def json_list(doc, what: str) -> list:
+    """doc, which must be a JSON list; anything else raises ValueError."""
+    if not isinstance(doc, list):
+        raise ValueError(f"{what} must hold a JSON list")
+    return doc
+
+
+def detection_row(row) -> tuple[tuple[float, float, float, float], float, int]:
+    """The (x, y, w, h) box, score and category of one detection row: four
+    finite bbox numbers, a score in [0, 1], a json_int category (default 0).
+    A missing field raises KeyError, a malformed one TypeError or ValueError."""
+    x, y, w, h = (float(v) for v in row["bbox"])
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
+        raise ValueError("bbox values must be finite")
+    score = float(row["score"])
+    if not 0.0 <= score <= 1.0:  # also rejects NaN
+        raise ValueError(f"score {score} is outside [0, 1]")
+    return (x, y, w, h), score, json_int(row.get("category", 0), "category")
+
+
 def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
     """Read the annotation interchange JSON.
 
@@ -297,9 +318,7 @@ def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
     try:
         scene = doc["scene"]
         extent = SceneExtent(json_int(scene["width"], "width"), json_int(scene["height"], "height"))
-        raw = doc["annotations"]
-        if not isinstance(raw, list):
-            raise TypeError("annotations must be a JSON list")
+        raw = json_list(doc["annotations"], "annotations")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed annotation document {path}: {exc}") from exc
 

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Annotation, BoundingBox, SceneExtent, box_array, clip_corners, json_int
-from .saccade import DEFAULT_EXPANSION, Patch
+from .core import Annotation, BoundingBox, SceneExtent, box_array, clip_corners, detection_row, json_int, json_list
+from .saccade import DEFAULT_EXPANSION, Patch, patch_manifest
 
 
 class AdapterError(Exception):
@@ -177,10 +177,10 @@ class NoisyDetector(DetectorAdapter):
     ):
         if not 0.0 <= miss_rate <= 1.0:
             raise ValueError(f"miss_rate must be in [0, 1], got {miss_rate}")
-        if fp_rate < 0:
-            raise ValueError(f"fp_rate must be >= 0, got {fp_rate}")
-        if jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {jitter}")
+        if not 0 <= fp_rate < math.inf:
+            raise ValueError(f"fp_rate must be finite and >= 0, got {fp_rate}")
+        if not 0 <= jitter < math.inf:
+            raise ValueError(f"jitter must be finite and >= 0, got {jitter}")
         self._oracle = OracleDetector(annotations)
         self.jitter = jitter
         self.miss_rate = miss_rate
@@ -250,8 +250,8 @@ class CostedDetector(DetectorAdapter):
     _CHUNK = 1 << 15
 
     def __init__(self, inner: DetectorAdapter, cost_per_pixel: float = 0.0):
-        if cost_per_pixel < 0:
-            raise ValueError(f"cost_per_pixel must be >= 0, got {cost_per_pixel}")
+        if not 0 <= cost_per_pixel < math.inf:
+            raise ValueError(f"cost_per_pixel must be finite and >= 0, got {cost_per_pixel}")
         self.inner = inner
         self.cost_per_pixel = cost_per_pixel
         self.ledger = PixelLedger()
@@ -336,10 +336,10 @@ class ExternalCommandDetector(DetectorAdapter):
     For each batch it writes a patch manifest JSON, runs the configured
     command as `cmd <manifest.json> <detections_out.json>`, and reads the
     detections back; a command that runs longer than EXEC_TIMEOUT_S is
-    killed. The manifest rows are
-    {"patch_id", "scale", "cell", "region", "zoom", "standard_size"};
-    the command must write a JSON list of
-    {"patch_id", "bbox": [x, y, w, h] (normalized frame), "score", "category"}.
+    killed. A manifest row is a patch_manifest row plus "patch_id", "zoom"
+    and "standard_size"; the command must write a JSON list of detection
+    rows (core.detection_row, boxes in the normalized frame) plus
+    "patch_id". Boxes left with no positive size by the content clip drop.
     """
 
     def __init__(self, command: list[str]):
@@ -354,20 +354,8 @@ class ExternalCommandDetector(DetectorAdapter):
         if not normalized:
             return []
         manifest = [
-            {
-                "patch_id": i,
-                "scale": np_p.patch.scale.label,
-                "cell": [np_p.patch.ix, np_p.patch.iy],
-                "region": [
-                    np_p.patch.region.x,
-                    np_p.patch.region.y,
-                    np_p.patch.region.width,
-                    np_p.patch.region.height,
-                ],
-                "zoom": np_p.zoom,
-                "standard_size": list(np_p.standard_size),
-            }
-            for i, np_p in enumerate(normalized)
+            {"patch_id": i, **row, "zoom": np_p.zoom, "standard_size": list(np_p.standard_size)}
+            for i, (np_p, row) in enumerate(zip(normalized, patch_manifest([n.patch for n in normalized])))
         ]
         with tempfile.TemporaryDirectory(prefix="densegaze-exec-") as tmp:
             manifest_path = Path(tmp) / "patches.json"
@@ -389,33 +377,28 @@ class ExternalCommandDetector(DetectorAdapter):
             if not out_path.exists():
                 raise AdapterError("external detector wrote no detections file")
             try:
-                rows = json.loads(out_path.read_text(encoding="utf-8"))
+                rows = json_list(json.loads(out_path.read_text(encoding="utf-8")), "external detector output")
             except json.JSONDecodeError as exc:
                 raise AdapterError(f"external detector wrote invalid JSON: {exc}") from exc
+            except ValueError as exc:
+                raise AdapterError(str(exc)) from exc
 
-        results: list[list[PatchDetection]] = [[] for _ in normalized]
+        checked = []  # (patch_id, box, score, category) per row, in row order
         for index, row in enumerate(rows):
             try:
                 pid = json_int(row["patch_id"], "patch_id")
-                x, y, w, h = (float(v) for v in row["bbox"])
-                if not all(math.isfinite(v) for v in (x, y, w, h)):
-                    raise ValueError("bbox values must be finite")
-                score = float(row["score"])
-                if not 0.0 <= score <= 1.0:  # also rejects NaN
-                    raise ValueError(f"score {score} is outside [0, 1]")
-                category = json_int(row.get("category", 0), "category")
+                box, score, category = detection_row(row)
             except (KeyError, TypeError, ValueError) as exc:
                 raise AdapterError(f"malformed detection row {index} {row!r}: {exc}") from exc
             if not 0 <= pid < len(normalized):
                 raise AdapterError(f"detection references unknown patch_id {pid}")
-            np_p = normalized[pid]
-            x0 = max(x, 0.0)
-            y0 = max(y, 0.0)
-            x1 = min(x + w, np_p.content_width)
-            y1 = min(y + h, np_p.content_height)
-            if x1 - x0 <= 0 or y1 - y0 <= 0:
-                continue
-            results[pid].append(
-                PatchDetection(bbox=BoundingBox(x0, y0, x1 - x0, y1 - y0), score=score, category=category)
-            )
+            checked.append((pid, box, score, category))
+        content = np.array([(n.content_width, n.content_height) for n in normalized])[[c[0] for c in checked]]
+        x, y, w, h = np.array([c[1] for c in checked], dtype=np.float64).reshape(-1, 4).T
+        with np.errstate(over="ignore"):  # a finite x + w may round to inf, which the clip bounds
+            boxes, keep = clip_corners(x, y, x + w, y + h, content[:, 0], content[:, 1])
+        results: list[list[PatchDetection]] = [[] for _ in normalized]
+        for r, box in zip(keep.tolist(), boxes.tolist()):
+            pid, _, score, category = checked[r]
+            results[pid].append(PatchDetection(bbox=BoundingBox(*box), score=score, category=category))
         return results

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BoundingBox, SceneExtent, box_array, clip_corners, json_int, json_number, overlap_pairs
+from .core import (
+    BoundingBox, SceneExtent, box_array, clip_corners, detection_row, json_list, json_number, overlap_pairs,
+)
 from .gaze import GazeResult, NormalizedPatch, PatchDetection
 
 DEFAULT_NMS_IOU = 0.5
@@ -164,23 +166,16 @@ def write_detections(path: str | Path, dets: list[GlobalDetection]) -> None:
 def read_detections(path: str | Path) -> list[GlobalDetection]:
     """Read a detections JSON written by write_detections (or compatible).
 
-    Every row needs a bbox of four finite numbers with positive size and
-    a score in [0, 1]; a row that breaks this raises ValueError naming
-    its index.
+    Every row must pass core.detection_row and have a positive size; a
+    row that does not raises ValueError naming its index.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        rows = json.load(fh)
-    if not isinstance(rows, list):
-        raise ValueError(f"detections file {path} must hold a JSON list")
+        rows = json_list(json.load(fh), f"detections file {path}")
     dets = []
     for index, row in enumerate(rows):
         try:
-            x, y, w, h = (float(v) for v in row["bbox"])
-            score = float(row["score"])
-            if not 0.0 <= score <= 1.0:
-                raise ValueError(f"score {score} is outside [0, 1]")
-            category = json_int(row.get("category", 0), "category")
-            dets.append(GlobalDetection(BoundingBox(x, y, w, h), score, category))
+            box, score, category = detection_row(row)
+            dets.append(GlobalDetection(BoundingBox(*box), score, category))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"detection row {index}: {exc!s}") from exc
     return dets

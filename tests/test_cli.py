@@ -1,13 +1,18 @@
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from densegaze.cli import main
 from densegaze.core import load_scene
 from densegaze.density import read_dmap
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(*argv):
@@ -231,6 +236,20 @@ class TestRunCommand:
         assert json.loads(out.read_text()) == []
 
 
+    def test_oracle_exec_fixture_detections_pinned(self, tmp_path):
+        # The fixture answers like the oracle with unclipped frame boxes; the
+        # adapter's clip brings them to the oracle's detections file.
+        scene = tmp_path / "scene.json"
+        assert run_cli("synth", "--out", scene) == 0
+        dets = tmp_path / "dets.json"
+        command = shlex.join([sys.executable, str(FIXTURES / "oracle_exec.py"), str(scene)])
+        assert run_cli("run", "--annotations", scene, "--out", dets, "--adapter", f"exec:{command}") == 0
+        assert (
+            hashlib.sha256(dets.read_bytes()).hexdigest()
+            == "e79d2c7082f2bf5a0bbb1855e63ef27f51f580cdf616e6acb397b7aa44859329"
+        )
+
+
 class TestExitCodes:
     def test_missing_input_is_io_error(self, tmp_path):
         assert run_cli("run", "--annotations", tmp_path / "nope.json",
@@ -294,6 +313,21 @@ class TestExitCodes:
             "--adapter", f"exec:{sys.executable} {script}",
         ) == 4
 
+    @pytest.mark.parametrize(
+        "output", ["{}", '""', '{"patch_id": 0}', "null", "5"],
+        ids=["empty_object", "empty_string", "object", "null", "number"],
+    )
+    def test_non_list_exec_output_is_adapter_error(self, scene_file, tmp_path, capsys, output):
+        script = tmp_path / "detector.py"
+        script.write_text(f"import sys\nopen(sys.argv[2], 'w').write({output!r})\n")
+        out = tmp_path / "d.json"
+        assert run_cli(
+            "run", "--annotations", scene_file, "--out", out,
+            "--adapter", f"exec:{sys.executable} {script}",
+        ) == 4
+        assert "external detector output must hold a JSON list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_score_on_a_box_outside_the_content_is_adapter_error(self, scene_file, tmp_path, capsys):
         # The box lies wholly left of the patch content, so a clip alone would drop it.
         row = {"patch_id": 0, "bbox": [-50, 0, 10, 10], "score": 7.5}
@@ -315,8 +349,19 @@ class TestExitCodes:
             ("run", ("--adapter", "noisy", "--fp-rate", -1)),
             ("run", ("--adapter", "exec:")),
             ("bench", ("--cost-per-pixel", -1)),
+            ("run", ("--adapter", "noisy", "--jitter", "nan")),
+            ("run", ("--adapter", "noisy", "--jitter", "inf")),
+            ("run", ("--adapter", "noisy", "--miss-rate", "nan")),
+            ("run", ("--adapter", "noisy", "--fp-rate", "nan")),
+            ("run", ("--adapter", "noisy", "--fp-rate", "inf")),
+            ("bench", ("--cost-per-pixel", "nan")),
+            ("bench", ("--cost-per-pixel", "inf")),
         ],
-        ids=["jitter", "miss_rate", "fp_rate", "empty_exec_command", "cost_per_pixel"],
+        ids=[
+            "jitter", "miss_rate", "fp_rate", "empty_exec_command", "cost_per_pixel",
+            "jitter_nan", "jitter_inf", "miss_rate_nan", "fp_rate_nan", "fp_rate_inf",
+            "cost_per_pixel_nan", "cost_per_pixel_inf",
+        ],
     )
     def test_bad_adapter_parameter_is_config_error(self, scene_file, tmp_path, capsys, command, flags):
         out = tmp_path / "out.json"
@@ -429,6 +474,20 @@ class TestBenchCommand:
         table = [line.split() for line in capsys.readouterr().out.split("\n")[:4]]
         assert table[0] == ["run", "patches", "pixels", "wall_s", "ratio_vs_saccade"]
         assert [row[0] for row in table[1:]] == ["saccade", "sw_256", "sw_64"]
+
+    def test_infinite_ratio_is_written_as_null(self, scene_file, tmp_path, capsys):
+        # No cell reaches the threshold, so the saccade run spends no pixels.
+        out = tmp_path / "bench.json"
+        assert run_cli("bench", "--annotations", scene_file, "--threshold", "1e9", "--out", out) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not valid JSON")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["runs"]["saccade"]["pixels_processed"] == 0
+        assert payload["ratios"] == {"sw_256_vs_saccade": None, "sw_64_vs_saccade": None}
+        table = [line.split() for line in capsys.readouterr().out.split("\n")[1:4]]
+        assert [row[-1] for row in table] == ["1.00", "inf", "inf"]
 
     def test_exec_adapter_runs_once_per_run(self, scene_file, tmp_path):
         calls = tmp_path / "calls.txt"

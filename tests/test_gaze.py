@@ -1,5 +1,7 @@
+import json
 import math
 import sys
+import tempfile
 import textwrap
 import time
 
@@ -22,7 +24,7 @@ from densegaze.gaze import (
     normalize,
     run_gaze,
 )
-from densegaze.saccade import Patch, saccade
+from densegaze.saccade import Patch, patch_manifest, saccade
 
 
 def make_patch(x, y, w, h, scale=ScaleLevel.TINY, ix=0, iy=0, density=1.0):
@@ -49,6 +51,26 @@ def reference_oracle_detect(annotations, np_patch):
             continue
         out.append(PatchDetection(BoundingBox(fx0, fy0, fx1 - fx0, fy1 - fy0), 1.0, ann.category))
     return out
+
+
+def reference_exec_clip(rows, normalized):
+    """The external detector's content clip one row at a time: max/min
+    against the row's patch content, rows grouped per patch in row order."""
+    results = [[] for _ in normalized]
+    for row in rows:
+        pid = row["patch_id"]
+        x, y, w, h = (float(v) for v in row["bbox"])
+        np_p = normalized[pid]
+        x0 = max(x, 0.0)
+        y0 = max(y, 0.0)
+        x1 = min(x + w, np_p.content_width)
+        y1 = min(y + h, np_p.content_height)
+        if x1 - x0 <= 0 or y1 - y0 <= 0:
+            continue
+        results[pid].append(
+            PatchDetection(BoundingBox(x0, y0, x1 - x0, y1 - y0), float(row["score"]), row.get("category", 0))
+        )
+    return results
 
 
 def detection_bits(dets):
@@ -92,6 +114,41 @@ def oracle_cases(draw):
         w, h = draw(side), draw(side)
         annotations.append(Annotation(i, BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h), draw(st.integers(0, 3))))
     return annotations, np_patch
+
+
+@st.composite
+def exec_clip_cases(draw):
+    """One to three patches and rows over them with interleaved patch ids:
+    starts at -0.0, below 0, on the content edge and huge; sizes that end
+    on or past the content edge, are zero or negative, or overflow the
+    end to inf; categories above 2**53."""
+    normalized = []
+    for ix in range(draw(st.integers(1, 3))):
+        rw, rh = draw(st.integers(1, 256)) / 4.0, draw(st.integers(1, 256)) / 4.0
+        standard = (draw(st.integers(1, 512)), draw(st.integers(1, 512)))
+        normalized.append(normalize(make_patch(0.0, 0.0, rw, rh, ix=ix), standard))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        pid = draw(st.integers(0, len(normalized) - 1))
+        bbox = []
+        for edge in (normalized[pid].content_width, normalized[pid].content_height):
+            start = draw(st.one_of(
+                st.sampled_from([-0.0, 0.0, -2.5, edge, 1.7e308]),
+                st.integers(-64, 4 * 600).map(lambda q: q / 4.0),
+            ))
+            size = draw(st.one_of(
+                st.sampled_from([0.0, -1.0, edge - start, edge - start + 1.0, 1.7e308]),
+                st.integers(1, 4 * 600).map(lambda q: q / 4.0),
+            ))
+            bbox.append((start, size))
+        (x, w), (y, h) = bbox
+        rows.append({
+            "patch_id": pid,
+            "bbox": [x, y, w, h],
+            "score": draw(st.sampled_from([0.0, 0.5, 1.0])),
+            "category": draw(st.sampled_from([0, 3, 2**53 + 1])),
+        })
+    return rows, normalized
 
 
 class TestNormalize:
@@ -425,3 +482,48 @@ class TestExternalCommandDetector:
         adapter = ExternalCommandDetector(self._write_script(tmp_path, body))
         with pytest.raises(AdapterError, match=r"malformed detection row 0 .*: score nan is outside \[0, 1\]"):
             adapter.detect_batch([normalize(make_patch(0, 0, 1000, 1000), (1000, 1000))])
+
+    def test_manifest_rows_are_patch_manifest_rows(self, tmp_path):
+        copy = tmp_path / "manifest_copy.json"
+        body = f"import shutil, sys\nshutil.copy(sys.argv[1], {str(copy)!r})\nopen(sys.argv[2], 'w').write('[]')\n"
+        adapter = ExternalCommandDetector(self._write_script(tmp_path, body))
+        patches = [
+            make_patch(0.0, 0.0, 1000.0, 700.0, ix=0, iy=0, density=0.25),
+            make_patch(812.5, 96.25, 2400.0, 1680.0, scale=ScaleLevel.SMALL, ix=3, iy=1, density=7.125),
+        ]
+        standard = (1000, 700)
+        adapter.detect_batch([normalize(p, standard) for p in patches])
+        manifest = json.loads(copy.read_text())
+        assert [list(row) for row in manifest] == [
+            ["patch_id", "scale", "cell", "region", "density", "zoom", "standard_size"]
+        ] * 2
+        for i, (row, patch, expected) in enumerate(zip(manifest, patches, patch_manifest(patches))):
+            assert row.pop("patch_id") == i
+            assert row.pop("zoom") == normalize(patch, standard).zoom
+            assert row.pop("standard_size") == [1000, 700]
+            assert row == expected
+
+    # Rows over two patches, interleaved: a -0.0 start kept as -0.0 and an
+    # end on the content edge, a negative start and an end past the edge,
+    # a start on the edge (zero width, dropped), and a category above 2**53.
+    @example((
+        [{"patch_id": 1, "bbox": [-0.0, -0.0, 6.0, 6.0], "score": 1.0},
+         {"patch_id": 0, "bbox": [-2.5, 1.0, 10.0, 1.0], "score": 0.5, "category": 2},
+         {"patch_id": 1, "bbox": [6.0, 0.0, 2.0, 2.0], "score": 0.5},
+         {"patch_id": 0, "bbox": [1.0, 1.0, 1.0, 1.0], "score": 0.0, "category": 2**53 + 1}],
+        [normalize(make_patch(0.0, 0.0, 8.0, 8.0, ix=0), (4, 4)),
+         normalize(make_patch(0.0, 0.0, 2.0, 2.0, ix=1), (6, 6))],
+    ))
+    @settings(max_examples=150, deadline=None)
+    @given(exec_clip_cases())
+    def test_clip_matches_the_per_row_reference(self, case):
+        rows, normalized = case
+        with tempfile.TemporaryDirectory() as tmp:
+            answer = f"{tmp}/answer.json"
+            with open(answer, "w", encoding="utf-8") as fh:
+                json.dump(rows, fh)
+            # sh -c gets the answer file as $0, then the manifest and output paths.
+            adapter = ExternalCommandDetector(["sh", "-c", 'cat "$0" > "$2"', answer])
+            got = adapter.detect_batch(normalized)
+        expected = reference_exec_clip(rows, normalized)
+        assert [detection_bits(dets) for dets in got] == [detection_bits(dets) for dets in expected]
