@@ -1,4 +1,5 @@
-"""Geometry primitives, scale buckets, and the annotation interchange format.
+"""Geometry primitives, scale buckets, detections, and the annotation
+interchange format.
 
 Everything here is an immutable value type; instances are safe to share
 across threads without coordination.
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -149,6 +151,104 @@ def clip_corners(x0, y0, x1, y1, width, height) -> tuple[np.ndarray, np.ndarray]
     w, h = x1 - x0, y1 - y0
     rows = np.flatnonzero(~((w <= 0) | (h <= 0)))
     return np.stack([x0, y0, w, h], axis=1)[rows], rows
+
+
+@dataclass(frozen=True)
+class PatchDetection:
+    """A scored box in the normalized-patch frame."""
+
+    bbox: BoundingBox
+    score: float
+    category: int = 0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
+            raise ValueError(f"score must be finite in [0, 1], got {self.score}")
+
+
+@dataclass(frozen=True)
+class GlobalDetection:
+    """A detection in original-image coordinates; source is the patch index."""
+
+    bbox: BoundingBox
+    score: float
+    category: int = 0
+    source: int = -1
+
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Scored boxes as columns: (n, 4) float64 x, y, width, height, float64
+    scores, and int64 categories and sources (-1 when unknown). Rows are
+    GlobalDetection when scene (original-image coordinates) is set, else
+    PatchDetection (one patch's normalized frame). Every box must be
+    finite with a positive size and every score in [0, 1]; the check runs
+    once per batch, and its ValueError names the first failing row."""
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    categories: np.ndarray
+    sources: np.ndarray | None = None
+    scene: bool = False
+
+    def __post_init__(self) -> None:
+        boxes = np.asarray(self.boxes, dtype=np.float64).reshape(-1, 4)
+        columns = {
+            "boxes": boxes,
+            "scores": np.asarray(self.scores, dtype=np.float64).reshape(-1),
+            "categories": np.asarray(self.categories, dtype=np.int64).reshape(-1),
+            "sources": np.full(len(boxes), -1, dtype=np.int64) if self.sources is None
+            else np.asarray(self.sources, dtype=np.int64).reshape(-1),
+        }
+        for name, column in columns.items():
+            if len(column) != len(boxes):
+                raise ValueError(f"{len(column)} {name} for {len(boxes)} boxes")
+            object.__setattr__(self, name, column)
+        finite, (w, h), scores = np.isfinite(boxes).all(axis=1), boxes[:, 2:].T, self.scores
+        bad = np.flatnonzero(~(finite & (w > 0) & (h > 0) & (scores >= 0.0) & (scores <= 1.0)))
+        if bad.size:
+            r = bad[0]
+            if not finite[r]:
+                raise ValueError(f"detection row {r}: bbox values must be finite")
+            if not (w[r] > 0 and h[r] > 0):
+                raise ValueError(f"detection row {r}: box dimensions must be positive, got {w[r]}x{h[r]}")
+            raise ValueError(f"detection row {r}: score {scores[r]} is outside [0, 1]")
+
+    @classmethod
+    def of(cls, dets, scene: bool) -> "Detections":
+        """dets when it is a Detections, else the columns of a sequence of
+        PatchDetection or GlobalDetection objects."""
+        if isinstance(dets, Detections):
+            return dets
+        dets = list(dets)
+        scores, categories = [d.score for d in dets], [d.category for d in dets]
+        return cls(box_array(dets), scores, categories, [getattr(d, "source", -1) for d in dets], scene)
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return self.boxes, self.scores, self.categories, self.sources
+
+    def take(self, rows) -> "Detections":
+        """The batch of the given rows (indices or a boolean mask), in order."""
+        return Detections(*(c[rows] for c in self._columns()), self.scene)
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def _item(self, box: list[float], score: float, category: int, source: int):
+        box = BoundingBox(*box)
+        return GlobalDetection(box, score, category, source) if self.scene else PatchDetection(box, score, category)
+
+    def __iter__(self):
+        return (self._item(*row) for row in zip(*(c.tolist() for c in self._columns())))
+
+    def __getitem__(self, index: int):
+        r = range(len(self))[operator.index(index)]
+        return self._item(*(c[r].tolist() for c in self._columns()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Detections) and self.scene == other.scene and all(
+            np.array_equal(a, b) for a, b in zip(self._columns(), other._columns())
+        )
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -293,9 +393,17 @@ def json_list(doc, what: str) -> list:
     return doc
 
 
+def json_category(v) -> int:
+    """A json_int category that fits the int64 columns it is kept in."""
+    category = json_int(v, "category")
+    if not -(2**63) <= category < 2**63:
+        raise ValueError(f"category {category} is outside int64")
+    return category
+
+
 def detection_row(row) -> tuple[tuple[float, float, float, float], float, int]:
     """The (x, y, w, h) box, score and category of one detection row: four
-    finite bbox numbers, a score in [0, 1], a json_int category (default 0).
+    finite bbox numbers, a score in [0, 1], a json_category (default 0).
     A missing field raises KeyError, a malformed one TypeError or ValueError."""
     x, y, w, h = (float(v) for v in row["bbox"])
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
@@ -303,7 +411,13 @@ def detection_row(row) -> tuple[tuple[float, float, float, float], float, int]:
     score = float(row["score"])
     if not 0.0 <= score <= 1.0:  # also rejects NaN
         raise ValueError(f"score {score} is outside [0, 1]")
-    return (x, y, w, h), score, json_int(row.get("category", 0), "category")
+    return (x, y, w, h), score, json_category(row.get("category", 0))
+
+
+def row_columns(parsed: list[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, 4) boxes, scores and categories of detection_row results."""
+    boxes, scores, categories = zip(*parsed) if parsed else ((), (), ())
+    return np.array(boxes, np.float64).reshape(-1, 4), np.array(scores, np.float64), np.array(categories, np.int64)
 
 
 def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
@@ -338,7 +452,7 @@ def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
                 box = box.clip(extent)
                 if box is None:
                     raise ValueError(f"annotation {ann_id} lies entirely outside the scene")
-            annotations.append(Annotation(ann_id, box, json_int(entry.get("category", 0), "category")))
+            annotations.append(Annotation(ann_id, box, json_category(entry.get("category", 0))))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"annotation entry {index}: {exc!s}") from exc
     return annotations, extent

@@ -17,11 +17,12 @@ from .core import (
     EVAL_LARGE_AREA,
     EVAL_SMALL_AREA,
     Annotation,
+    Detections,
     EvalSizeBucket,
+    GlobalDetection,
     box_array,
     overlap_pairs,
 )
-from .merge import GlobalDetection, detection_columns
 
 MATCH_IOU = 0.5
 _RECALL_SAMPLES = np.linspace(0.0, 1.0, 101)
@@ -102,12 +103,7 @@ def _annotation_columns(gts: list[Annotation]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _match(
-    boxes: np.ndarray,
-    scores: np.ndarray,
-    categories: np.ndarray,
-    gt_boxes: np.ndarray,
-    gt_categories: np.ndarray,
-    iou_threshold: float,
+    dets: Detections, gt_boxes: np.ndarray, gt_categories: np.ndarray, iou_threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy matching in score order: each detection takes the free
     same-category ground truth with the highest IoU at or above threshold,
@@ -116,10 +112,10 @@ def _match(
     Returns the detection order and the matched gt index per ordered
     detection (-1 for none).
     """
-    order = _sorted_order(boxes, scores)
-    i, j, v = overlap_pairs(boxes[order], gt_boxes, iou_threshold)
+    order = _sorted_order(dets.boxes, dets.scores)
+    i, j, v = overlap_pairs(dets.boxes[order], gt_boxes, iou_threshold)
     # IoU 0.0 never matches, even at a threshold of 0.
-    ok = (v > 0.0) & (categories[order][i] == gt_categories[j])
+    ok = (v > 0.0) & (dets.categories[order][i] == gt_categories[j])
     i, j, v = i[ok], j[ok], v[ok]
     preference = np.lexsort((j, -v, i))
     match = [-1] * len(order)
@@ -132,7 +128,7 @@ def _match(
 
 
 def match_detections(
-    dets: list[GlobalDetection],
+    dets: Detections | list[GlobalDetection],
     gts: list[Annotation],
     iou_threshold: float = MATCH_IOU,
 ) -> tuple[list[int], list[int | None]]:
@@ -141,8 +137,7 @@ def match_detections(
 
     Returns (detection order, matched gt index per ordered detection).
     """
-    boxes, scores, categories, _ = detection_columns(dets)
-    order, match = _match(boxes, scores, categories, *_annotation_columns(gts), iou_threshold)
+    order, match = _match(Detections.of(dets, scene=True), *_annotation_columns(gts), iou_threshold)
     return order.tolist(), [None if gi < 0 else gi for gi in match.tolist()]
 
 
@@ -207,20 +202,20 @@ def _slice_ap(
 
 
 def _slices(
-    dets: list[GlobalDetection],
+    dets: Detections | list[GlobalDetection],
     gts: list[Annotation],
     size_filters: tuple[EvalSizeBucket | None, ...],
 ) -> list[ApResult]:
     """Match once at IoU 0.5, then take every requested slice."""
-    boxes, scores, categories, _ = detection_columns(dets)
+    dets = Detections.of(dets, scene=True)
     gt_boxes, gt_categories = _annotation_columns(gts)
-    order, match = _match(boxes, scores, categories, gt_boxes, gt_categories, MATCH_IOU)
-    det_bucket, gt_bucket = _size_buckets(boxes[order]), _size_buckets(gt_boxes)
+    order, match = _match(dets, gt_boxes, gt_categories, MATCH_IOU)
+    det_bucket, gt_bucket = _size_buckets(dets.boxes[order]), _size_buckets(gt_boxes)
     return [_slice_ap(match, det_bucket, gt_bucket, f) for f in size_filters]
 
 
 def ap50(
-    dets: list[GlobalDetection],
+    dets: Detections | list[GlobalDetection],
     gts: list[Annotation],
     size_filter: EvalSizeBucket | None = None,
 ) -> ApResult:
@@ -228,7 +223,7 @@ def ap50(
     return _slices(dets, gts, (size_filter,))[0]
 
 
-def evaluate_detections(dets: list[GlobalDetection], gts: list[Annotation]) -> EvalReport:
+def evaluate_detections(dets: Detections | list[GlobalDetection], gts: list[Annotation]) -> EvalReport:
     """Full report: overall AP50 plus the three size-bucket slices, from one match."""
     overall, small, middle, large = _slices(
         dets, gts, (None, EvalSizeBucket.SMALL, EvalSizeBucket.MIDDLE, EvalSizeBucket.LARGE)

@@ -8,9 +8,11 @@ from ground truth for desk-scale verification, a costed wrapper meters
 pixel spend, and an external-command adapter hands batches to a real
 model through a JSON file exchange.
 
-Patches are processed by a pool of worker threads; adapters must be safe
-to call concurrently, and results are always returned in input patch
-order, so worker count never changes the output.
+A detector answers each patch with a Detections batch (a list of
+PatchDetection objects is still accepted). With one worker, detect runs
+on the calling thread; with more, on a pool of worker threads, so
+adapters must be safe to call concurrently. Results are always returned
+in input patch order, so worker count never changes the output.
 """
 
 from __future__ import annotations
@@ -22,12 +24,16 @@ import tempfile
 import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import Annotation, BoundingBox, SceneExtent, box_array, clip_corners, detection_row, json_int, json_list
+from .core import (
+    Annotation, Detections, PatchDetection, SceneExtent, box_array, clip_corners, detection_row, json_int, json_list,
+    row_columns,
+)
 from .saccade import DEFAULT_EXPANSION, Patch, patch_manifest
 
 
@@ -71,19 +77,6 @@ class NormalizedPatch:
         return (x / self.zoom + r.x, y / self.zoom + r.y)
 
 
-@dataclass(frozen=True)
-class PatchDetection:
-    """A scored box in the normalized-patch frame."""
-
-    bbox: BoundingBox
-    score: float
-    category: int = 0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be finite in [0, 1], got {self.score}")
-
-
 def default_standard_size(
     extent: SceneExtent,
     tiny_cells: tuple[int, int] = (16, 16),
@@ -112,11 +105,12 @@ class DetectorAdapter(ABC):
     """Boundary for any megapixel-level detector.
 
     detect must be a pure function of the normalized patch and safe to
-    call from several workers at once.
+    call from several workers at once. It returns a Detections batch in
+    the normalized frame, or a list of PatchDetection objects.
     """
 
     @abstractmethod
-    def detect(self, np_patch: NormalizedPatch) -> list[PatchDetection]:
+    def detect(self, np_patch: NormalizedPatch) -> Detections | list[PatchDetection]:
         raise NotImplementedError
 
 
@@ -124,9 +118,9 @@ class OracleDetector(DetectorAdapter):
     """Answers from ground truth: perfect boxes for test pipelines.
 
     Returns every annotation whose center lies inside the patch region
-    (half-open, so a center on a shared edge belongs to one cell only),
-    with the box mapped into the normalized frame, clipped to the patch
-    content, and scored 1.0.
+    (half-open, so a center on a shared edge belongs to one cell only), in
+    annotation order, with both corners mapped through to_frame, the box
+    clipped to the patch content by clip_corners, and scored 1.0.
     """
 
     def __init__(self, annotations: list[Annotation]):
@@ -135,11 +129,7 @@ class OracleDetector(DetectorAdapter):
         self._centers = np.stack([x + w / 2.0, y + h / 2.0], axis=1)
         self._categories = np.array([a.category for a in annotations], dtype=np.int64)
 
-    def _frame_boxes(self, np_patch: NormalizedPatch) -> tuple[np.ndarray, np.ndarray]:
-        """The (k, 4) frame boxes and the categories of the annotations the
-        patch sees, in annotation order: both corners through to_frame,
-        then clip_corners to the content.
-        """
+    def detect(self, np_patch: NormalizedPatch) -> Detections:
         region = np_patch.patch.region
         cx, cy = self._centers.T
         rows = np.flatnonzero(
@@ -150,14 +140,7 @@ class OracleDetector(DetectorAdapter):
             *np_patch.to_frame(x, y), *np_patch.to_frame(x + w, y + h),
             np_patch.content_width, np_patch.content_height,
         )
-        return boxes, self._categories[rows[keep]]
-
-    def detect(self, np_patch: NormalizedPatch) -> list[PatchDetection]:
-        boxes, categories = self._frame_boxes(np_patch)
-        return [
-            PatchDetection(bbox=BoundingBox(*box), score=1.0, category=category)
-            for box, category in zip(boxes.tolist(), categories.tolist())
-        ]
+        return Detections(boxes, np.ones(len(boxes)), self._categories[rows[keep]])
 
 
 class NoisyDetector(DetectorAdapter):
@@ -187,13 +170,13 @@ class NoisyDetector(DetectorAdapter):
         self.fp_rate = fp_rate
         self.seed = seed
 
-    def detect(self, np_patch: NormalizedPatch) -> list[PatchDetection]:
+    def detect(self, np_patch: NormalizedPatch) -> Detections:
         p = np_patch.patch
         rng = np.random.default_rng([self.seed, int(p.scale), p.iy, p.ix])
-        out: list[PatchDetection] = []
+        rows: list[tuple[float, float, float, float, float, int]] = []  # x, y, w, h, score, category
         fw, fh = np_patch.content_width, np_patch.content_height
-        boxes, categories = self._oracle._frame_boxes(np_patch)
-        for (bx, by, bw, bh), category in zip(boxes.tolist(), categories.tolist()):
+        seen = self._oracle.detect(np_patch)
+        for (bx, by, bw, bh), category in zip(seen.boxes.tolist(), seen.categories.tolist()):
             if rng.random() < self.miss_rate:
                 continue
             if self.jitter > 0:
@@ -209,19 +192,15 @@ class NoisyDetector(DetectorAdapter):
             if w <= 0 or h <= 0:
                 continue
             score = float(rng.uniform(0.6, 1.0)) if self.jitter > 0 or self.miss_rate > 0 else 1.0
-            out.append(PatchDetection(bbox=BoundingBox(x, y, w, h), score=score, category=category))
+            rows.append((x, y, w, h, score, category))
         for _ in range(int(rng.poisson(self.fp_rate))):
             w = float(rng.uniform(4.0, max(fw / 4.0, 8.0)))
             h = float(rng.uniform(4.0, max(fh / 4.0, 8.0)))
             x = float(rng.uniform(0.0, max(fw - w, 1.0)))
             y = float(rng.uniform(0.0, max(fh - h, 1.0)))
-            out.append(
-                PatchDetection(
-                    bbox=BoundingBox(x, y, min(w, fw - x), min(h, fh - y)),
-                    score=float(rng.uniform(0.05, 0.6)),
-                )
-            )
-        return out
+            rows.append((x, y, min(w, fw - x), min(h, fh - y), float(rng.uniform(0.05, 0.6)), 0))
+        columns = np.array(rows, dtype=np.float64).reshape(-1, 6)
+        return Detections(columns[:, :4], columns[:, 4], [row[5] for row in rows])
 
 
 @dataclass
@@ -256,7 +235,7 @@ class CostedDetector(DetectorAdapter):
         self.cost_per_pixel = cost_per_pixel
         self.ledger = PixelLedger()
 
-    def detect(self, np_patch: NormalizedPatch) -> list[PatchDetection]:
+    def detect(self, np_patch: NormalizedPatch) -> Detections | list[PatchDetection]:
         sw, sh = np_patch.standard_size
         pixels = sw * sh
         self.ledger.add(pixels)
@@ -273,10 +252,14 @@ class CostedDetector(DetectorAdapter):
 
 @dataclass(frozen=True)
 class GazeResult:
-    """One patch's normalization record and its detections."""
+    """One patch's normalization record and its detections batch; a list
+    of PatchDetection objects given for it is converted once."""
 
     normalized: NormalizedPatch
-    detections: list[PatchDetection]
+    detections: Detections
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "detections", Detections.of(self.detections, scene=False))
 
     @property
     def patch(self) -> Patch:
@@ -291,7 +274,9 @@ def run_gaze(
 ) -> list[GazeResult]:
     """Normalize and detect every patch; results follow input patch order.
 
-    Worker count affects scheduling only, never results. Adapter failures
+    With one worker, detect runs on the calling thread; with more, on a
+    thread pool. Worker count affects scheduling only, never results.
+    Adapter failures, a detection batch that fails its checks included,
     are re-raised as AdapterError carrying the first failing patch in
     input order; a failing detect_batch call, which has no one patch to
     blame, is re-raised as an AdapterError without one.
@@ -304,15 +289,16 @@ def run_gaze(
     if batch is not None:
         try:
             outputs = list(batch(normalized))
+            results = [GazeResult(np_p, dets) for np_p, dets in zip(normalized, outputs)]
         except Exception as exc:
             raise AdapterError(f"detector failed on a batch of {len(normalized)} patches: {exc}") from exc
         if len(outputs) != len(normalized):
             raise AdapterError(f"detector returned {len(outputs)} results for {len(normalized)} patches")
-        return [GazeResult(np_p, dets) for np_p, dets in zip(normalized, outputs)]
+        return results
 
     results: list[GazeResult] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outputs = pool.map(adapter.detect, normalized)
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        outputs = (pool.map if pool else map)(adapter.detect, normalized)
         for np_p in normalized:
             try:
                 results.append(GazeResult(np_p, next(outputs)))
@@ -339,7 +325,8 @@ class ExternalCommandDetector(DetectorAdapter):
     killed. A manifest row is a patch_manifest row plus "patch_id", "zoom"
     and "standard_size"; the command must write a JSON list of detection
     rows (core.detection_row, boxes in the normalized frame) plus
-    "patch_id". Boxes left with no positive size by the content clip drop.
+    "patch_id". Boxes left with no positive size by the content clip drop;
+    each patch's Detections keeps the rest in row order.
     """
 
     def __init__(self, command: list[str]):
@@ -347,10 +334,10 @@ class ExternalCommandDetector(DetectorAdapter):
             raise ValueError("external detector command must not be empty")
         self.command = list(command)
 
-    def detect(self, np_patch: NormalizedPatch) -> list[PatchDetection]:
+    def detect(self, np_patch: NormalizedPatch) -> Detections:
         return self.detect_batch([np_patch])[0]
 
-    def detect_batch(self, normalized: list[NormalizedPatch]) -> list[list[PatchDetection]]:
+    def detect_batch(self, normalized: list[NormalizedPatch]) -> list[Detections]:
         if not normalized:
             return []
         manifest = [
@@ -383,22 +370,20 @@ class ExternalCommandDetector(DetectorAdapter):
             except ValueError as exc:
                 raise AdapterError(str(exc)) from exc
 
-        checked = []  # (patch_id, box, score, category) per row, in row order
+        pids, parsed = [], []  # per row, in row order
         for index, row in enumerate(rows):
             try:
                 pid = json_int(row["patch_id"], "patch_id")
-                box, score, category = detection_row(row)
+                parsed.append(detection_row(row))
             except (KeyError, TypeError, ValueError) as exc:
                 raise AdapterError(f"malformed detection row {index} {row!r}: {exc}") from exc
             if not 0 <= pid < len(normalized):
                 raise AdapterError(f"detection references unknown patch_id {pid}")
-            checked.append((pid, box, score, category))
-        content = np.array([(n.content_width, n.content_height) for n in normalized])[[c[0] for c in checked]]
-        x, y, w, h = np.array([c[1] for c in checked], dtype=np.float64).reshape(-1, 4).T
+            pids.append(pid)
+        box, scores, categories = row_columns(parsed)
+        content = np.array([(n.content_width, n.content_height) for n in normalized])[pids]
+        x, y, w, h = box.T
         with np.errstate(over="ignore"):  # a finite x + w may round to inf, which the clip bounds
             boxes, keep = clip_corners(x, y, x + w, y + h, content[:, 0], content[:, 1])
-        results: list[list[PatchDetection]] = [[] for _ in normalized]
-        for r, box in zip(keep.tolist(), boxes.tolist()):
-            pid, _, score, category = checked[r]
-            results[pid].append(PatchDetection(bbox=BoundingBox(*box), score=score, category=category))
-        return results
+        kept, pids = Detections(boxes, scores[keep], categories[keep]), np.array(pids, dtype=np.int64)[keep]
+        return [kept.take(pids == p) for p in range(len(normalized))]

@@ -3,33 +3,24 @@
 Overlapping patches see the same object more than once; after the inverse
 normalization transform, greedy per-category NMS keeps the best-scoring
 view. Output order is canonical, so merged results never depend on patch
-processing order.
+processing order. Detections stay in columns throughout: the merge, the
+detections file writer and its reader build no per-box objects.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
-    BoundingBox, SceneExtent, box_array, clip_corners, detection_row, json_list, json_number, overlap_pairs,
+    BoundingBox, Detections, GlobalDetection, PatchDetection, SceneExtent, clip_corners, detection_row, json_list,
+    json_number, overlap_pairs, row_columns,
 )
-from .gaze import GazeResult, NormalizedPatch, PatchDetection
+from .gaze import GazeResult, NormalizedPatch
 
 DEFAULT_NMS_IOU = 0.5
-
-
-@dataclass(frozen=True)
-class GlobalDetection:
-    """A detection in original-image coordinates; source is the patch index."""
-
-    bbox: BoundingBox
-    score: float
-    category: int = 0
-    source: int = -1
 
 
 def to_global(det: PatchDetection, np_patch: NormalizedPatch, source: int = -1) -> GlobalDetection:
@@ -44,28 +35,12 @@ def to_global(det: PatchDetection, np_patch: NormalizedPatch, source: int = -1) 
     )
 
 
-def detection_columns(dets: list[GlobalDetection]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Boxes (n, 4), scores, categories and sources of a detection list."""
-    return (
-        box_array(dets),
-        np.array([d.score for d in dets], dtype=np.float64),
-        np.array([d.category for d in dets], dtype=np.int64),
-        np.array([d.source for d in dets], dtype=np.int64),
-    )
-
-
 def _check_threshold(iou_threshold: float) -> None:
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
 
 
-def _nms_keep(
-    boxes: np.ndarray,
-    scores: np.ndarray,
-    categories: np.ndarray,
-    sources: np.ndarray,
-    iou_threshold: float,
-) -> list[int]:
+def _nms_keep(dets: Detections, iou_threshold: float) -> np.ndarray:
     """Rows that greedy NMS keeps, in canonical order.
 
     The canonical order is (score desc, x, y, source, width, height,
@@ -75,8 +50,9 @@ def _nms_keep(
     one pass in rank order settles each row before any row it could
     suppress: a row is dropped when one of its suppressors was kept.
     """
+    boxes, categories = dets.boxes, dets.categories
     ranked = np.lexsort(
-        (categories, boxes[:, 3], boxes[:, 2], sources, boxes[:, 1], boxes[:, 0], -scores)
+        (categories, boxes[:, 3], boxes[:, 2], dets.sources, boxes[:, 1], boxes[:, 0], -dets.scores)
     )
     cat = categories[ranked]
     ranked_boxes = boxes[ranked]
@@ -86,7 +62,7 @@ def _nms_keep(
     for row, suppressor in zip(i[hit].tolist(), j[hit].tolist()):
         if kept[suppressor]:
             kept[row] = False
-    return [r for r, k in zip(ranked.tolist(), kept) if k]
+    return ranked[np.array(kept, dtype=bool)]
 
 
 def global_nms(dets: list[GlobalDetection], iou_threshold: float = DEFAULT_NMS_IOU) -> list[GlobalDetection]:
@@ -98,7 +74,7 @@ def global_nms(dets: list[GlobalDetection], iou_threshold: float = DEFAULT_NMS_I
     category asc), so output is deterministic.
     """
     _check_threshold(iou_threshold)
-    return [dets[r] for r in _nms_keep(*detection_columns(dets), iou_threshold)]
+    return [dets[r] for r in _nms_keep(Detections.of(dets, scene=True), iou_threshold).tolist()]
 
 
 def _lift_and_clip(
@@ -123,47 +99,52 @@ def merge_run(
     results: list[GazeResult],
     extent: SceneExtent,
     iou_threshold: float = DEFAULT_NMS_IOU,
-) -> list[GlobalDetection]:
+) -> Detections:
     """Lift all patch detections to global coordinates, clip, and suppress.
 
-    GlobalDetection objects are built only for the rows NMS keeps.
+    The result's sources are the indices of the results the kept rows
+    came from.
     """
     _check_threshold(iou_threshold)
-    dets = [det for result in results for det in result.detections]
-    if not dets:
-        return []
-    sources = np.repeat(np.arange(len(results)), [len(result.detections) for result in results])
-    scores = np.array([det.score for det in dets], dtype=np.float64)
-    categories = np.array([det.category for det in dets], dtype=np.int64)
-    boxes, inside = _lift_and_clip(results, box_array(dets), sources, extent)
-    kept = _nms_keep(boxes, scores[inside], categories[inside], sources[inside], iou_threshold)
-    rows = inside[kept]
-    return [
-        GlobalDetection(BoundingBox(*box), dets[r].score, dets[r].category, source)
-        for r, source, box in zip(rows.tolist(), sources[rows].tolist(), boxes[kept].tolist())
-    ]
+    if not results:
+        return Detections([], [], [], scene=True)
+    batches = [result.detections for result in results]
+    sources = np.repeat(np.arange(len(results)), [len(b) for b in batches])
+    scores = np.concatenate([b.scores for b in batches])
+    categories = np.concatenate([b.categories for b in batches])
+    boxes, inside = _lift_and_clip(results, np.concatenate([b.boxes for b in batches]), sources, extent)
+    lifted = Detections(boxes, scores[inside], categories[inside], sources[inside], scene=True)
+    return lifted.take(_nms_keep(lifted, iou_threshold))
 
 
-def write_detections(path: str | Path, dets: list[GlobalDetection]) -> None:
+# One detections-file row in json.dump(rows, indent=1)'s layout.
+_ROW = ' {\n  "bbox": [\n   %s,\n   %s,\n   %s,\n   %s\n  ],\n  "score": %s,\n  "category": %s\n }'
+
+
+def write_detections(path: str | Path, dets: Detections | list[GlobalDetection]) -> None:
     """Write the final detections JSON (a list of bbox/score/category rows).
 
     The bytes are those of json.dump(rows, indent=1) plus a newline; the
     fixed row layout is written directly rather than through the
-    pure-Python indenting encoder.
+    pure-Python indenting encoder. A Detections batch is written from its
+    columns: its values are finite floats and ints, which str spells as
+    json does. A list of GlobalDetection objects goes through
+    core.json_number, which also spells NaN and the infinities.
     """
-    num = json_number
-    rows = []
-    for d in dets:
-        b = d.bbox
-        rows.append(
-            ' {\n  "bbox": [\n   %s,\n   %s,\n   %s,\n   %s\n  ],\n  "score": %s,\n  "category": %s\n }'
-            % (num(b.x), num(b.y), num(b.width), num(b.height), num(d.score), num(d.category))
+    if isinstance(dets, Detections):
+        x, y, w, h = dets.boxes.T.tolist()
+        rows = zip(x, y, w, h, dets.scores.tolist(), dets.categories.tolist())
+    else:
+        rows = (
+            tuple(map(json_number, (d.bbox.x, d.bbox.y, d.bbox.width, d.bbox.height, d.score, d.category)))
+            for d in dets
         )
+    text = ",\n".join([_ROW % row for row in rows])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n")
+        fh.write("[\n" + text + "\n]\n" if text else "[]\n")
 
 
-def read_detections(path: str | Path) -> list[GlobalDetection]:
+def read_detections(path: str | Path) -> Detections:
     """Read a detections JSON written by write_detections (or compatible).
 
     Every row must pass core.detection_row and have a positive size; a
@@ -171,11 +152,10 @@ def read_detections(path: str | Path) -> list[GlobalDetection]:
     """
     with open(path, "r", encoding="utf-8") as fh:
         rows = json_list(json.load(fh), f"detections file {path}")
-    dets = []
+    parsed = []
     for index, row in enumerate(rows):
         try:
-            box, score, category = detection_row(row)
-            dets.append(GlobalDetection(BoundingBox(*box), score, category))
+            parsed.append(detection_row(row))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"detection row {index}: {exc!s}") from exc
-    return dets
+    return Detections(*row_columns(parsed), scene=True)

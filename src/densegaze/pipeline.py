@@ -14,10 +14,10 @@ import time
 from dataclasses import dataclass
 
 from .config import PipelineConfig
-from .core import Annotation, ScaleLevel, SceneExtent
+from .core import Annotation, Detections, ScaleLevel, SceneExtent
 from .density import DensityMapSet, render_gt_density
 from .gaze import DetectorAdapter, GazeResult, run_gaze
-from .merge import DEFAULT_NMS_IOU, GlobalDetection, merge_run
+from .merge import DEFAULT_NMS_IOU, merge_run
 from .saccade import DEFAULT_EXPANSION, Patch, _axis_bounds, _cell_region, expand_and_clip, saccade
 
 
@@ -63,7 +63,7 @@ class PipelineRun:
     density: DensityMapSet
     patches: list[Patch]
     gaze_results: list[GazeResult]
-    detections: list[GlobalDetection]
+    detections: Detections
     budget: BudgetReport
     standard_size: tuple[int, int]
 
@@ -93,7 +93,7 @@ def _detect_and_merge(
     workers: int,
     nms_iou: float,
     start: float,
-) -> tuple[list[GazeResult], list[GlobalDetection], BudgetReport]:
+) -> tuple[list[GazeResult], Detections, BudgetReport]:
     """Detect on every patch, merge into scene coordinates, and charge each
     patch one standard frame; wall_seconds runs from start."""
     results = run_gaze(patches, adapter, standard_size, workers=workers)
@@ -154,7 +154,7 @@ def sliding_window_run(
     expansion: float = DEFAULT_EXPANSION,
     workers: int = 1,
     nms_iou: float = DEFAULT_NMS_IOU,
-) -> tuple[list[GlobalDetection], BudgetReport]:
+) -> tuple[Detections, BudgetReport]:
     """Selection-free baseline: detect on every grid cell, then merge.
 
     The budget charges every cell; its clock starts once the cells are built.

@@ -433,6 +433,46 @@ class TestExitCodes:
         ) == 4
         assert "malformed detection row 0 " in capsys.readouterr().err
 
+    # Categories are kept in int64 columns; one just outside either end is
+    # rejected where it is parsed, with the exit code of its input.
+    @pytest.mark.parametrize("category", [2**70, 2**63, -(2**63) - 1])
+    def test_category_outside_int64_in_a_scene_is_io_error(self, tmp_path, capsys, category):
+        scene = tmp_path / "scene.json"
+        rows = [{"id": 0, "bbox": [10.0, 10.0, 5.0, 5.0]},
+                {"id": 1, "bbox": [40.0, 40.0, 5.0, 5.0], "category": category}]
+        scene.write_text(json.dumps({"scene": {"width": 100, "height": 100}, "annotations": rows}))
+        assert run_cli("run", "--annotations", scene, "--out", tmp_path / "d.json") == 3
+        assert f"annotation entry 1: category {category} is outside int64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("category", [2**70, 2**63, -(2**63) - 1])
+    def test_category_outside_int64_in_a_detections_file_is_io_error(self, scene_file, tmp_path, capsys, category):
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps([{"bbox": [10.0, 10.0, 5.0, 5.0], "score": 0.5, "category": category}]))
+        assert run_cli("eval", "--detections", dets, "--annotations", scene_file) == 3
+        assert f"detection row 0: category {category} is outside int64" in capsys.readouterr().err
+
+    def test_category_outside_int64_from_an_exec_detector_is_adapter_error(self, scene_file, tmp_path, capsys):
+        row = {"patch_id": 0, "bbox": [1, 1, 5, 5], "score": 0.5, "category": 2**70}
+        script = tmp_path / "detector.py"
+        script.write_text(f"import json, sys\njson.dump([{row!r}], open(sys.argv[2], 'w'))\n")
+        out = tmp_path / "d.json"
+        assert run_cli(
+            "run", "--annotations", scene_file, "--out", out, "--adapter", f"exec:{sys.executable} {script}",
+        ) == 4
+        err = capsys.readouterr().err
+        assert "malformed detection row 0 " in err and f"category {2**70} is outside int64" in err
+        assert not out.exists()
+
+    def test_int64_category_bounds_round_trip(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        rows = [{"id": i, "bbox": [10.0 + 30 * i, 10.0, 5.0, 5.0], "category": c}
+                for i, c in enumerate([2**63 - 1, -(2**63)])]
+        scene.write_text(json.dumps({"scene": {"width": 100, "height": 100}, "annotations": rows}))
+        dets = tmp_path / "d.json"
+        assert run_cli("run", "--annotations", scene, "--out", dets, "--grids", "2,2,2,2", "--threshold", 0) == 0
+        assert sorted(row["category"] for row in json.loads(dets.read_text())) == [-(2**63), 2**63 - 1]
+        assert run_cli("eval", "--detections", dets, "--annotations", scene) == 0
+
     @pytest.mark.parametrize("flag, value", [("--grids", "2000,8,4,2"), ("--downsample", 20000)])
     def test_grid_finer_than_map_is_config_error(self, scene_file, tmp_path, capsys, flag, value):
         assert run_cli("run", "--annotations", scene_file, "--out", tmp_path / "d.json", flag, value) == 2

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from densegaze import core
 from densegaze.core import (
     Annotation,
     BoundingBox,
+    Detections,
     EvalSizeBucket,
+    GlobalDetection,
+    PatchDetection,
     ScaleLevel,
     SceneExtent,
     eval_size_bucket,
@@ -48,6 +52,90 @@ class TestBoundingBox:
     def test_clip_partial(self):
         clipped = BoundingBox(-5, -5, 20, 20).clip(SceneExtent(100, 100))
         assert clipped == BoundingBox(0, 0, 15, 15)
+
+
+class TestDetections:
+    BOXES = [[1.0, 2.0, 3.0, 4.0], [-0.0, 5.5, 0.25, 1e9]]
+
+    def batch(self, scene=False, **columns):
+        return Detections(
+            columns.get("boxes", self.BOXES), columns.get("scores", [0.5, 1.0]),
+            columns.get("categories", [3, 2**53 + 1]), columns.get("sources"), scene,
+        )
+
+    def test_columns_and_len(self):
+        d = self.batch()
+        assert len(d) == 2
+        assert d.boxes.dtype == np.float64 and d.boxes.shape == (2, 4)
+        assert d.scores.dtype == np.float64 and d.categories.dtype == np.int64
+        assert d.sources.tolist() == [-1, -1]
+
+    def test_empty_batch(self):
+        for d in (Detections(np.empty((0, 4)), [], []), Detections([], [], [], scene=True)):
+            assert len(d) == 0 and d.boxes.shape == (0, 4)
+            assert list(d) == []
+            with pytest.raises(IndexError):
+                d[0]
+        assert Detections([], [], []) == Detections(np.empty((0, 4)), np.empty(0), np.empty(0, np.int64))
+
+    def test_patch_frame_rows_are_patch_detections(self):
+        d = self.batch()
+        rows = list(d)
+        assert rows == [
+            PatchDetection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5, 3),
+            PatchDetection(BoundingBox(-0.0, 5.5, 0.25, 1e9), 1.0, 2**53 + 1),
+        ]
+        assert [d[0], d[1]] == rows and d[-1] == rows[1]
+        assert str(rows[1].bbox.x) == "-0.0"
+        assert all(type(r.score) is float and type(r.category) is int for r in rows)
+        with pytest.raises(IndexError):
+            d[2]
+        with pytest.raises(TypeError):
+            d[:1]
+
+    def test_scene_frame_rows_are_global_detections(self):
+        d = self.batch(scene=True, sources=[4, 7])
+        assert list(d) == [
+            GlobalDetection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5, 3, 4),
+            GlobalDetection(BoundingBox(-0.0, 5.5, 0.25, 1e9), 1.0, 2**53 + 1, 7),
+        ]
+        assert d[-2] == GlobalDetection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5, 3, 4)
+
+    def test_value_equality(self):
+        assert self.batch() == self.batch()
+        assert self.batch() != self.batch(scene=True)
+        assert self.batch() != self.batch(scores=[0.5, 0.75])
+        assert self.batch() != self.batch(categories=[3, 2**53])
+        assert self.batch() != self.batch(sources=[0, 1])
+        assert self.batch() != self.batch(boxes=[[1.0, 2.0, 3.0, 4.0], [0.0, 5.5, 0.25, 1e9 + 1]])
+        assert self.batch() != list(self.batch())
+
+    def test_of_converts_per_box_objects_once(self):
+        d = self.batch(scene=True, sources=[4, 7])
+        assert Detections.of(d, scene=True) is d
+        assert Detections.of(list(d), scene=True) == d
+        patch = self.batch()
+        assert Detections.of(list(patch), scene=False) == patch
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ({"boxes": [[1, 2, 3, 4], [0, 0, math.nan, 1]]}, "detection row 1: bbox values must be finite"),
+            ({"boxes": [[1, 2, 3, 4], [0, math.inf, 1, 1]]}, "detection row 1: bbox values must be finite"),
+            ({"boxes": [[1, 2, 0, 4], [0, 0, -1, 1]]}, "detection row 0: box dimensions must be positive, got 0.0x4.0"),
+            ({"scores": [0.5, 1.5]}, "detection row 1: score 1.5 is outside [0, 1]"),
+            ({"scores": [math.nan, 1.0]}, "detection row 0: score nan is outside [0, 1]"),
+            ({"scores": [0.5]}, "1 scores for 2 boxes"),
+            ({"sources": [1, 2, 3]}, "3 sources for 2 boxes"),
+        ],
+    )
+    def test_validation_names_the_first_failing_row(self, columns, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.batch(**columns)
+
+    def test_category_outside_int64_is_rejected(self):
+        with pytest.raises(OverflowError):
+            self.batch(categories=[0, 2**63])
 
 
 class TestIou:

@@ -180,11 +180,12 @@ class TestAp50:
 class TestAgainstReference:
     def _check(self, dets, gts):
         report = evaluate_detections(dets, gts)
-        expected = reference_report(dets, gts)
+        per_box = list(dets)  # the references index detections object by object
+        expected = reference_report(per_box, gts)
         assert report.to_json_dict() == expected.to_json_dict()
         assert curve_csv(report.overall) == curve_csv(expected.overall)
         assert report == expected  # every slice's curve too
-        assert match_detections(dets, gts) == reference_match(dets, gts)
+        assert match_detections(dets, gts) == reference_match(per_box, gts)
 
     def test_stock_scene(self, default_scene, default_run):
         self._check(default_run.detections, default_scene[0])

@@ -3,15 +3,20 @@ import math
 import sys
 import tempfile
 import textwrap
+import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from densegaze.core import Annotation, BoundingBox, ScaleLevel, SceneExtent
+from densegaze.config import PipelineConfig
+from densegaze.core import Annotation, BoundingBox, Detections, ScaleLevel, SceneExtent
 from densegaze import gaze
 from densegaze.density import render_gt_density
+from densegaze.merge import write_detections
+from densegaze.pipeline import run_pipeline
 from densegaze.gaze import (
     AdapterError,
     CostedDetector,
@@ -202,7 +207,7 @@ class TestOracleDetector:
     def test_no_centers_inside(self):
         oracle = OracleDetector([Annotation(0, BoundingBox(3000, 3000, 50, 50))])
         np_patch = normalize(make_patch(0, 0, 1000, 1000), (1000, 1000))
-        assert oracle.detect(np_patch) == []
+        assert len(oracle.detect(np_patch)) == 0
 
     def test_contained_box_exact(self):
         ann = Annotation(0, BoundingBox(400, 500, 60, 120), category=3)
@@ -252,7 +257,7 @@ class TestOracleDetector:
         oracle = OracleDetector([ann])
         left = normalize(make_patch(0, 0, 1000, 1000), (1000, 1000))
         right = normalize(make_patch(1000, 0, 1000, 1000), (1000, 1000))
-        assert oracle.detect(left) == []
+        assert len(oracle.detect(left)) == 0
         assert len(oracle.detect(right)) == 1
 
 
@@ -269,7 +274,7 @@ class TestNoisyDetector:
     def test_full_miss_rate(self):
         anns, np_patch = self._scene()
         noisy = NoisyDetector(anns, miss_rate=1.0, seed=1)
-        assert noisy.detect(np_patch) == []
+        assert len(noisy.detect(np_patch)) == 0
 
     def test_seeded_determinism(self):
         anns, np_patch = self._scene()
@@ -383,6 +388,85 @@ class TestRunGaze:
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
             run_gaze([], OracleDetector([]), (100, 100), workers=0)
+
+    def test_one_worker_detects_on_the_calling_thread(self, monkeypatch):
+        started, callers = [], []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+
+        class Recording(DetectorAdapter):
+            def detect(self, np_patch):
+                callers.append(threading.get_ident())
+                return []
+
+        results = run_gaze(self._patches(), Recording(), (1000, 1000), workers=1)
+        assert len(results) == 6
+        assert callers == [threading.get_ident()] * 6
+        assert started == []
+
+
+class _ListOracle(DetectorAdapter):
+    """A third-party adapter: the oracle's answer as a list of PatchDetection."""
+
+    def __init__(self, annotations):
+        self.oracle = OracleDetector(annotations)
+
+    def detect(self, np_patch):
+        return list(self.oracle.detect(np_patch))
+
+
+class _BadRows(DetectorAdapter):
+    """Answers one good row, or on the given cells a bad box or score, in a
+    Detections batch, a list of PatchDetection, or a list of unchecked
+    duck-typed rows that only the conversion at the boundary checks. The
+    first bad cell fails last in time."""
+
+    def __init__(self, form, defect, *bad_cells):
+        self.form, self.defect, self.bad_cells = form, defect, bad_cells
+
+    def detect(self, np_patch):
+        cell = (np_patch.patch.ix, np_patch.patch.iy)
+        box, score = (1.0, 1.0, 5.0, 5.0), 0.5
+        if cell in self.bad_cells:
+            if cell == self.bad_cells[0]:
+                time.sleep(0.05)
+            box, score = ((1.0, 1.0, -5.0, 5.0), score) if self.defect == "box" else (box, 1.5)
+        if self.form == "detections":
+            return Detections([box], [score], [0])
+        if self.form == "objects":
+            return [PatchDetection(BoundingBox(*box), score)]
+        x, y, w, h = box
+        return [SimpleNamespace(bbox=SimpleNamespace(x=x, y=y, width=w, height=h), score=score, category=0)]
+
+
+class TestAdapterReturnForms:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_list_answer_gives_the_oracle_detections_file(self, default_scene, tmp_path, workers):
+        annotations, extent = default_scene
+        config = PipelineConfig(workers=workers)
+        files = []
+        for adapter in (OracleDetector(annotations), _ListOracle(annotations)):
+            run = run_pipeline(annotations, extent, config, adapter)
+            assert all(isinstance(r.detections, Detections) for r in run.gaze_results)
+            files.append(tmp_path / f"{type(adapter).__name__}.json")
+            write_detections(files[-1], run.detections)
+        assert files[0].read_bytes() == files[1].read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("defect", ["box", "score"])
+    @pytest.mark.parametrize("form", ["detections", "objects", "duck"])
+    def test_bad_rows_blame_the_first_failing_patch(self, form, defect, workers):
+        patches = [make_patch(i * 1000.0, 0, 1000, 1000, ix=i) for i in range(6)]
+        with pytest.raises(AdapterError, match=r"cell=\(3,0\)") as err:
+            run_gaze(patches, _BadRows(form, defect, (3, 0), (4, 0)), (1000, 1000), workers=workers)
+        assert err.value.patch is patches[3]
+        good = run_gaze(patches, _BadRows(form, defect), (1000, 1000), workers=workers)
+        assert [r.detections for r in good] == [Detections([[1.0, 1.0, 5.0, 5.0]], [0.5], [0])] * 6
 
 
 ECHO_DETECTOR = textwrap.dedent(

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densegaze.core import Annotation, BoundingBox, ScaleLevel, SceneExtent, iou
+from densegaze.config import PipelineConfig
+from densegaze.core import Annotation, BoundingBox, Detections, ScaleLevel, SceneExtent, iou
 from densegaze.density import render_gt_density
 from densegaze.gaze import (
     GazeResult,
@@ -23,6 +24,7 @@ from densegaze.merge import (
     to_global,
     write_detections,
 )
+from densegaze.pipeline import run_pipeline
 from densegaze.saccade import Patch, saccade
 
 
@@ -201,7 +203,7 @@ class TestGlobalNms:
 
 class TestMergeRun:
     def test_empty(self):
-        assert merge_run([], SceneExtent(100, 100)) == []
+        assert len(merge_run([], SceneExtent(100, 100))) == 0
 
     def test_object_in_two_patches_merges_to_one(self):
         extent = SceneExtent(4000, 2000)
@@ -259,7 +261,7 @@ class TestMergeRun:
         adapter = NoisyDetector(annotations, jitter=3.0, miss_rate=0.1, fp_rate=2.0, seed=1)
         results = run_gaze(patches, adapter, (1978, 1124))
         for threshold in (1 / 3, 0.5):
-            assert merge_run(results, extent, threshold) == reference_merge(results, extent, threshold)
+            assert list(merge_run(results, extent, threshold)) == reference_merge(results, extent, threshold)
 
     def test_clips_to_scene_like_boundingbox_clip(self):
         extent = SceneExtent(100, 80)
@@ -275,7 +277,7 @@ class TestMergeRun:
         ]
         results = [GazeResult(normalize(p, (50, 80)), d) for p, d in zip(patches, dets)]
         merged = merge_run(results, extent)
-        assert merged == reference_merge(results, extent)
+        assert list(merged) == reference_merge(results, extent)
         assert [d.bbox for d in merged] == [
             BoundingBox(0.0, 0.0, 15.0, 7.0),
             BoundingBox(80.0, 70.0, 20.0, 10.0),
@@ -313,7 +315,7 @@ class TestMergeRun:
 
     def test_noisy_crowd_matches_reference(self, noisy_crowd):
         _, extent, run = noisy_crowd
-        assert run.detections == reference_merge(run.gaze_results, extent)
+        assert list(run.detections) == reference_merge(run.gaze_results, extent)
 
     def test_worker_count_invariance(self, small_scene):
         annotations, extent = small_scene
@@ -352,6 +354,34 @@ class TestDetectionsIo:
             write_detections(tmp_path / "new.json", dets)
             reference_write(tmp_path / "ref.json", dets)
             assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    def test_rewriting_a_read_file_gives_its_bytes(self, tmp_path, default_run, noisy_crowd):
+        for name, dets in (("stock", default_run.detections), ("crowd", noisy_crowd[2].detections)):
+            first, second = tmp_path / f"{name}.json", tmp_path / f"{name}_again.json"
+            write_detections(first, dets)
+            loaded = read_detections(first)
+            assert isinstance(loaded, Detections) and loaded.scene
+            assert np.array_equal(loaded.boxes, dets.boxes) and np.array_equal(loaded.scores, dets.scores)
+            write_detections(second, loaded)
+            assert second.read_bytes() == first.read_bytes()
+
+    def test_oracle_run_and_write_build_no_per_box_objects(self, tmp_path, default_scene, monkeypatch):
+        built = []
+
+        def counting(init):
+            def counted(self, *args, **kwargs):
+                built.append(type(self))
+                init(self, *args, **kwargs)
+            return counted
+
+        for cls in (PatchDetection, GlobalDetection):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+        PatchDetection(BoundingBox(1, 1, 1, 1), 1.0)  # the count sees a construction
+        assert built == [PatchDetection]
+        annotations, extent = default_scene
+        run = run_pipeline(annotations, extent, PipelineConfig(), OracleDetector(annotations))
+        write_detections(tmp_path / "dets.json", run.detections)
+        assert len(run.detections) > 500 and built == [PatchDetection]
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
