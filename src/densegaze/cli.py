@@ -62,6 +62,7 @@ def _add_adapter_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jitter", type=float, default=0.0, help="noisy adapter box jitter (px)")
     parser.add_argument("--miss-rate", type=float, default=0.0, help="noisy adapter miss probability")
     parser.add_argument("--fp-rate", type=float, default=0.0, help="noisy adapter false positives per patch")
+    parser.add_argument("--seed", type=int, default=0, help="noisy adapter root seed")
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
@@ -78,7 +79,7 @@ def _as_config_error():
         raise ConfigError(str(exc)) from exc
 
 
-def _make_adapter(args: argparse.Namespace, annotations, config: PipelineConfig) -> DetectorAdapter:
+def _make_adapter(args: argparse.Namespace, annotations) -> DetectorAdapter:
     choice = args.adapter
     with _as_config_error():
         if choice == "oracle":
@@ -89,7 +90,7 @@ def _make_adapter(args: argparse.Namespace, annotations, config: PipelineConfig)
                 jitter=args.jitter,
                 miss_rate=args.miss_rate,
                 fp_rate=args.fp_rate,
-                seed=config.seed,
+                seed=args.seed,
             )
         if choice.startswith("exec:"):
             return ExternalCommandDetector(shlex.split(choice[len("exec:") :]))
@@ -139,7 +140,7 @@ def cmd_saccade(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     annotations, extent = load_scene(args.annotations)
-    adapter = _make_adapter(args, annotations, config)
+    adapter = _make_adapter(args, annotations)
     density = read_dmap(args.density) if args.density else None
     run = run_pipeline(annotations, extent, config, adapter, density=density)
     write_detections(args.out, run.detections)
@@ -176,21 +177,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     annotations, extent = load_scene(args.annotations)
-
-    def build_adapter() -> DetectorAdapter:
-        # The costed wrapper answers patch by patch, so an adapter is
-        # wrapped only when there is busy work to meter.
-        adapter = _make_adapter(args, annotations, config)
+    # One adapter serves all three runs. The costed wrapper answers patch by
+    # patch, so it wraps only when there is busy work (a nonzero cost) to meter.
+    adapter = _make_adapter(args, annotations)
+    if args.cost_per_pixel:
         with _as_config_error():
-            return CostedDetector(adapter, args.cost_per_pixel) if args.cost_per_pixel else adapter
+            adapter = CostedDetector(adapter, args.cost_per_pixel)
 
-    runs: dict[str, BudgetReport] = {}
-    pipeline_adapter = build_adapter()
-    run = run_pipeline(annotations, extent, config, pipeline_adapter)
-    runs["saccade"] = run.budget
-
+    run = run_pipeline(annotations, extent, config, adapter)
+    runs: dict[str, BudgetReport] = {"saccade": run.budget}
     for grid in (config.grids[0], config.grids[1]):
-        adapter = build_adapter()
         _, report = sliding_window_run(
             extent,
             grid,

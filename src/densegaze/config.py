@@ -38,7 +38,6 @@ class PipelineConfig:
     nms_iou: float = DEFAULT_NMS_IOU
     standard_size: tuple[int, int] | None = None
     workers: int = 1
-    seed: int = 0
 
     def validate(self) -> "PipelineConfig":
         # Chained comparisons are False for NaN, and "< math.inf" rejects infinity.
@@ -59,8 +58,6 @@ class PipelineConfig:
             raise ConfigError(f"standard_size must be at least 2x2, got {self.standard_size}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
     def grid_specs(self) -> dict[ScaleLevel, GridSpec]:
@@ -124,7 +121,6 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
         _size, "standard frame WxH, or 'auto'", lambda s: "auto" if s is None else f"{s[0]}x{s[1]}"
     ),
     "workers": ConfigKey(int, "parallel detector workers"),
-    "seed": ConfigKey(int, "root seed for all randomness"),
 }
 
 

@@ -458,41 +458,29 @@ def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
     return annotations, extent
 
 
-def json_number(v) -> str:
-    """A number as json.dump writes it: floats by float.__repr__, with NaN
-    and the infinities spelled as JSON does, plain ints by int.__repr__;
-    anything else through json."""
-    if type(v) is int:
-        return int.__repr__(v)
-    if isinstance(v, float):
-        if v != v:
-            return "NaN"
-        if v == math.inf:
-            return "Infinity"
-        if v == -math.inf:
-            return "-Infinity"
-        return float.__repr__(v)
-    return json.dumps(v)
-
-
 def save_scene(path: str | Path, annotations: list[Annotation], extent: SceneExtent) -> None:
     """Write the annotation interchange JSON (deterministic layout).
 
     The bytes are those of json.dump(doc, indent=1) plus a newline; the
     fixed layout is written directly rather than through the pure-Python
-    indenting encoder.
+    indenting encoder. Ids and categories pass load_scene's json_int and
+    json_category rules: an annotation that load_scene would reject raises
+    ValueError naming its index before the file is opened.
     """
-    num = json_number
     rows = []
-    for a in annotations:
+    for index, a in enumerate(annotations):
         b = a.bbox
+        try:
+            values = (json_int(a.id, "id"), b.x, b.y, b.width, b.height, json_category(a.category))
+        except ValueError as exc:
+            raise ValueError(f"annotation entry {index}: {exc!s}") from exc
         rows.append(
             '  {\n   "id": %s,\n   "bbox": [\n    %s,\n    %s,\n    %s,\n    %s\n   ],\n   "category": %s\n  }'
-            % (num(a.id), num(b.x), num(b.y), num(b.width), num(b.height), num(a.category))
+            % values
         )
     body = "[\n" + ",\n".join(rows) + "\n ]" if rows else "[]"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             '{\n "scene": {\n  "width": %s,\n  "height": %s\n },\n "annotations": %s\n}\n'
-            % (num(extent.width), num(extent.height), body)
+            % (extent.width, extent.height, body)
         )

@@ -164,6 +164,8 @@ class NoisyDetector(DetectorAdapter):
             raise ValueError(f"fp_rate must be finite and >= 0, got {fp_rate}")
         if not 0 <= jitter < math.inf:
             raise ValueError(f"jitter must be finite and >= 0, got {jitter}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self._oracle = OracleDetector(annotations)
         self.jitter = jitter
         self.miss_rate = miss_rate
@@ -274,34 +276,33 @@ def run_gaze(
 ) -> list[GazeResult]:
     """Normalize and detect every patch; results follow input patch order.
 
-    With one worker, detect runs on the calling thread; with more, on a
-    thread pool. Worker count affects scheduling only, never results.
-    Adapter failures, a detection batch that fails its checks included,
-    are re-raised as AdapterError carrying the first failing patch in
-    input order; a failing detect_batch call, which has no one patch to
-    blame, is re-raised as an AdapterError without one.
+    An adapter with detect_batch answers all patches in one call; else
+    detect runs on the calling thread at one worker, on a thread pool at
+    more. Worker count affects scheduling only, never results. One loop
+    turns every answer into a result: a failure, an answer that fails its
+    checks included, raises AdapterError carrying the first failing patch
+    in input order. A failing detect_batch call or a wrong answer count
+    raises one without a patch.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     normalized = [normalize(p, standard_size) for p in patches]
-
     batch = getattr(adapter, "detect_batch", None)
-    if batch is not None:
-        try:
-            outputs = list(batch(normalized))
-            results = [GazeResult(np_p, dets) for np_p, dets in zip(normalized, outputs)]
-        except Exception as exc:
-            raise AdapterError(f"detector failed on a batch of {len(normalized)} patches: {exc}") from exc
-        if len(outputs) != len(normalized):
-            raise AdapterError(f"detector returned {len(outputs)} results for {len(normalized)} patches")
-        return results
-
     results: list[GazeResult] = []
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        outputs = (pool.map if pool else map)(adapter.detect, normalized)
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 and batch is None else nullcontext() as pool:
+        if batch is None:
+            answers = (pool.map if pool else map)(adapter.detect, normalized)
+        else:
+            try:
+                answers = list(batch(normalized))
+            except Exception as exc:
+                raise AdapterError(f"detector failed on a batch of {len(normalized)} patches: {exc}") from exc
+            if len(answers) != len(normalized):
+                raise AdapterError(f"detector returned {len(answers)} results for {len(normalized)} patches")
+            answers = iter(answers)
         for np_p in normalized:
             try:
-                results.append(GazeResult(np_p, next(outputs)))
+                results.append(GazeResult(np_p, next(answers)))
             except Exception as exc:
                 p = np_p.patch
                 raise AdapterError(

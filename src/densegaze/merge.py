@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (
     BoundingBox, Detections, GlobalDetection, PatchDetection, SceneExtent, clip_corners, detection_row, json_list,
-    json_number, overlap_pairs, row_columns,
+    overlap_pairs, row_columns,
 )
 from .gaze import GazeResult, NormalizedPatch
 
@@ -82,17 +82,15 @@ def _lift_and_clip(
 ) -> tuple[np.ndarray, np.ndarray]:
     """to_global then BoundingBox.clip on every patch-frame box row, whose
     result index is in sources, as arrays: the clipped (k, 4) boxes and
-    the indices of the k rows that stay inside the scene."""
+    the indices of the k rows left with a positive size. The clip bounds
+    or drops a lift that overflows; a NaN corner is left to the caller's
+    Detections check."""
     zoom = np.array([r.normalized.zoom for r in results], dtype=np.float64)[sources]
     origin = np.array([(r.patch.region.x, r.patch.region.y) for r in results], dtype=np.float64)[sources]
-    x, y = box[:, 0] / zoom + origin[:, 0], box[:, 1] / zoom + origin[:, 1]
-    w, h = box[:, 2] / zoom, box[:, 3] / zoom
-    lifted = np.stack([x, y, w, h], axis=1)
-    invalid = np.flatnonzero(~(np.isfinite(lifted).all(axis=1) & (w > 0) & (h > 0)))
-    if invalid.size:
-        BoundingBox(*lifted[invalid[0]].tolist())  # raises to_global's ValueError
-    # Every row is finite with positive size here, so no clipped size is NaN.
-    return clip_corners(x, y, x + w, y + h, float(extent.width), float(extent.height))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = box[:, 0] / zoom + origin[:, 0], box[:, 1] / zoom + origin[:, 1]
+        x1, y1 = x + box[:, 2] / zoom, y + box[:, 3] / zoom
+        return clip_corners(x, y, x1, y1, float(extent.width), float(extent.height))
 
 
 def merge_run(
@@ -126,20 +124,15 @@ def write_detections(path: str | Path, dets: Detections | list[GlobalDetection])
 
     The bytes are those of json.dump(rows, indent=1) plus a newline; the
     fixed row layout is written directly rather than through the
-    pure-Python indenting encoder. A Detections batch is written from its
-    columns: its values are finite floats and ints, which str spells as
-    json does. A list of GlobalDetection objects goes through
-    core.json_number, which also spells NaN and the infinities.
+    pure-Python indenting encoder. Every input is written from the
+    columns of Detections.of(dets, scene=True), whose values are finite
+    floats and ints that str spells as json does. A list row that
+    read_detections would reject raises the batch's "detection row i"
+    ValueError before the file is opened.
     """
-    if isinstance(dets, Detections):
-        x, y, w, h = dets.boxes.T.tolist()
-        rows = zip(x, y, w, h, dets.scores.tolist(), dets.categories.tolist())
-    else:
-        rows = (
-            tuple(map(json_number, (d.bbox.x, d.bbox.y, d.bbox.width, d.bbox.height, d.score, d.category)))
-            for d in dets
-        )
-    text = ",\n".join([_ROW % row for row in rows])
+    dets = Detections.of(dets, scene=True)
+    x, y, w, h = dets.boxes.T.tolist()
+    text = ",\n".join([_ROW % row for row in zip(x, y, w, h, dets.scores.tolist(), dets.categories.tolist())])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[\n" + text + "\n]\n" if text else "[]\n")
 

@@ -236,6 +236,39 @@ class TestRunCommand:
         assert json.loads(out.read_text()) == []
 
 
+    def test_an_exec_box_lifted_to_no_size_is_dropped(self, scene_file, tmp_path):
+        # Patch 0 is a tiny cell about 1958 px wide, so at this standard
+        # size its zoom is above 2 and the 5e-324 frame width lifts to 0.
+        rows = [
+            {"patch_id": 0, "bbox": [100, 100, 50, 50], "score": 0.9},
+            {"patch_id": 0, "bbox": [0, 10, 5e-324, 20], "score": 0.8},
+        ]
+        script = tmp_path / "tiny_detector.py"
+        script.write_text(f"import json, sys\njson.dump({rows!r}, open(sys.argv[2], 'w'))\n")
+        out = tmp_path / "dets.json"
+        assert run_cli(
+            "run", "--annotations", scene_file, "--out", out, "--standard-size", "4000x2300",
+            "--adapter", f"exec:{sys.executable} {script}",
+        ) == 0
+        assert [row["score"] for row in json.loads(out.read_text())] == [0.9]
+
+    def test_seed_is_a_noisy_adapter_flag_not_a_config_key(self, scene_file, tmp_path, capsys):
+        plain, seeded, cfg = tmp_path / "plain.json", tmp_path / "seeded.json", tmp_path / "effective.cfg"
+        assert run_cli("run", "--annotations", scene_file, "--out", plain) == 0
+        assert run_cli("run", "--annotations", scene_file, "--out", seeded, "--seed", 7, "--dump-config", cfg) == 0
+        assert seeded.read_bytes() == plain.read_bytes()  # the oracle ignores --seed
+        assert [line.split("=")[0] for line in cfg.read_text().splitlines()] == [
+            "downsample", "boundaries", "grids", "threshold", "expansion", "nms_iou", "standard_size", "workers"
+        ]
+        cfg.write_text("seed=1\n")
+        capsys.readouterr()
+        assert run_cli("run", "--annotations", scene_file, "--out", tmp_path / "d.json", "--config", cfg) == 2
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+        for command in ("density", "saccade"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--annotations", str(scene_file), "--out", str(tmp_path / "x"), "--seed", "1"])
+            assert err.value.code == 2
+
     def test_oracle_exec_fixture_detections_pinned(self, tmp_path):
         # The fixture answers like the oracle with unclipped frame boxes; the
         # adapter's clip brings them to the oracle's detections file.
@@ -356,11 +389,12 @@ class TestExitCodes:
             ("run", ("--adapter", "noisy", "--fp-rate", "inf")),
             ("bench", ("--cost-per-pixel", "nan")),
             ("bench", ("--cost-per-pixel", "inf")),
+            ("run", ("--adapter", "noisy", "--seed", -1)),
         ],
         ids=[
             "jitter", "miss_rate", "fp_rate", "empty_exec_command", "cost_per_pixel",
             "jitter_nan", "jitter_inf", "miss_rate_nan", "fp_rate_nan", "fp_rate_inf",
-            "cost_per_pixel_nan", "cost_per_pixel_inf",
+            "cost_per_pixel_nan", "cost_per_pixel_inf", "seed",
         ],
     )
     def test_bad_adapter_parameter_is_config_error(self, scene_file, tmp_path, capsys, command, flags):

@@ -21,7 +21,7 @@ class TestDefaults:
     def test_key_table_follows_the_fields(self):
         # The dumped file lists keys in table order; every field needs a key.
         assert list(CONFIG_KEYS) == [f.name for f in fields(PipelineConfig)]
-        assert len(CONFIG_KEYS) == 9
+        assert len(CONFIG_KEYS) == 8
 
     def test_grid_specs(self):
         specs = PipelineConfig().grid_specs()
@@ -92,7 +92,7 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_file(path)
 
-    @pytest.mark.parametrize("line", ["alphas=0.01,0.1,10.0,100.0", "count_scale=1000.0"])
+    @pytest.mark.parametrize("line", ["alphas=0.01,0.1,10.0,100.0", "count_scale=1000.0", "seed=1"])
     def test_keys_the_pipeline_never_read_are_unknown(self, tmp_path, line):
         path = tmp_path / "pipeline.cfg"
         path.write_text(line + "\n")
@@ -125,7 +125,6 @@ class TestConfigFile:
             "nms_iou=0.5\n"
             "standard_size=auto\n"
             "workers=1\n"
-            "seed=0\n"
         )
 
     def test_round_trip(self, tmp_path):

@@ -346,13 +346,39 @@ class TestSceneIo:
         odd = [
             Annotation(0, BoundingBox(0.0, 5e-324, 1e16, 3.5), 2),
             Annotation(7, BoundingBox(1, 2, 3, 4)),
-            Annotation(-3, BoundingBox(-0.0, 1e16, 5e-324, 0.1), True),
+            Annotation(-3, BoundingBox(-0.0, 1e16, 5e-324, 0.1)),
         ]
         cases = (default_scene, noisy_crowd[:2], ([], SceneExtent(10, 20)), (odd, SceneExtent(5, 5)))
         for annotations, extent in cases:
             save_scene(tmp_path / "new.json", annotations, extent)
             reference_save_scene(tmp_path / "ref.json", annotations, extent)
             assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("id", True, "id must be an integer, got True"),
+            ("id", 2.5, "id must be an integer, got 2.5"),
+            ("category", True, "category must be an integer, got True"),
+            ("category", 2.5, "category must be an integer, got 2.5"),
+            ("category", 2**70, "category 1180591620717411303424 is outside int64"),
+        ],
+        ids=["id-True", "id-2.5", "category-True", "category-2.5", "category-2**70"],
+    )
+    def test_refuses_what_load_scene_rejects(self, tmp_path, field, value, message):
+        bad = Annotation(**{"id": 1, "bbox": BoundingBox(1, 2, 3, 4), "category": 0, field: value})
+        annotations = [Annotation(0, BoundingBox(1, 2, 3, 4)), bad]
+        path = tmp_path / "scene.json"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match=re.escape(f"annotation entry 1: {message}")):
+            save_scene(path, annotations, SceneExtent(10, 10))
+        assert path.read_text() == "kept\n"
+
+    def test_an_id_beyond_int64_round_trips(self, tmp_path):
+        # load_scene bounds categories, which it keeps in int64 columns, but not ids.
+        annotations = [Annotation(2**70, BoundingBox(1, 2, 3, 4))]
+        save_scene(tmp_path / "scene.json", annotations, SceneExtent(10, 10))
+        assert load_scene(tmp_path / "scene.json") == (annotations, SceneExtent(10, 10))
 
     def test_clips_at_ingestion(self, tmp_path):
         doc = self._doc()

@@ -295,6 +295,11 @@ class TestNoisyDetector:
         with pytest.raises(ValueError):
             NoisyDetector([], jitter=-1.0)
 
+    def test_rejects_a_negative_seed(self):
+        anns, _ = self._scene()
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            NoisyDetector(anns, seed=-1)
+
 
 class TestCostedDetector:
     def test_ledger_arithmetic(self):
@@ -384,6 +389,21 @@ class TestRunGaze:
         with pytest.raises(AdapterError, match=message) as err:
             run_gaze(self._patches(), adapter, (1000, 1000))
         assert err.value.patch is None
+
+    def test_a_bad_batch_answer_names_its_patch(self):
+        # detect_batch answers go through the same loop as detect answers.
+        patches = self._patches()
+        adapter = OracleDetector([])
+
+        def batch(normalized):
+            answers = [Detections([[1.0, 1.0, 5.0, 5.0]], [0.5], [0]) for _ in normalized]
+            answers[3] = [SimpleNamespace(bbox=BoundingBox(1.0, 1.0, 5.0, 5.0), score=1.5, category=0)]
+            return answers
+
+        adapter.detect_batch = batch
+        with pytest.raises(AdapterError, match=r"cell=\(3,0\): detection row 0: score 1.5") as err:
+            run_gaze(patches, adapter, (1000, 1000), workers=4)
+        assert err.value.patch is patches[3]
 
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):

@@ -317,6 +317,24 @@ class TestMergeRun:
         _, extent, run = noisy_crowd
         assert list(run.detections) == reference_merge(run.gaze_results, extent)
 
+    @staticmethod
+    def _lift(box, zoom):
+        """merge_run of one frame box, scored 0.9, from a patch at (100, 200) at the given zoom."""
+        patch = Patch(ScaleLevel.TINY, 0, 0, BoundingBox(100, 200, 100 / zoom, 100 / zoom), 1.0)
+        result = GazeResult(normalize(patch, (100, 100)), [PatchDetection(BoundingBox(*box), 0.9)])
+        return merge_run([result], SceneExtent(1000, 1000))
+
+    def test_lift_drops_a_box_left_with_no_size(self):
+        assert len(self._lift((10, 10, 5e-324, 10), 2)) == 0
+
+    def test_lift_overflow_is_bounded_or_dropped_by_the_clip(self):
+        assert self._lift((10, 10, 1.7e308, 10), 0.2).boxes.tolist() == [[150.0, 250.0, 850.0, 50.0]]
+        assert len(self._lift((1.7e308, 10, 5, 5), 0.2)) == 0
+
+    def test_lift_to_a_nan_corner_raises(self):
+        with pytest.raises(ValueError, match="detection row 0: bbox values must be finite"):
+            self._lift((-1.7e308, 10, 1.7e308, 10), 0.2)
+
     def test_worker_count_invariance(self, small_scene):
         annotations, extent = small_scene
         dset = render_gt_density(annotations, extent)
@@ -343,17 +361,31 @@ def reference_write(path, dets):
 
 class TestDetectionsIo:
     def test_bytes_equal_json_dump(self, tmp_path, default_run, noisy_crowd):
+        # A list is written from its float64 and int64 columns, so the
+        # reference dumps those column values: an int 1 reads 1.0.
         odd = [
-            GlobalDetection(BoundingBox(-0.0, 5e-324, 1e16, 3), float("nan"), 2, 1),
+            GlobalDetection(BoundingBox(-0.0, 5e-324, 1e16, 3), 0.5, 2, 1),
             GlobalDetection(BoundingBox(1, 2, 3.5, 4), 1, 7),
             GlobalDetection(BoundingBox(0.1, 1e-7, 123456789.125, 1e22), 0.30000000000000004),
-            GlobalDetection(BoundingBox(5, 5, 5, 5), float("inf")),
-            GlobalDetection(BoundingBox(5, 5, 5, 5), float("-inf"), True),
+            GlobalDetection(BoundingBox(5, 5, 5, 5), 0, True),
         ]
         for dets in (default_run.detections, noisy_crowd[2].detections, [], odd):
             write_detections(tmp_path / "new.json", dets)
-            reference_write(tmp_path / "ref.json", dets)
+            reference_write(tmp_path / "ref.json", Detections.of(dets, scene=True))
             assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf"), 1.5])
+    def test_refuses_a_row_its_reader_rejects(self, tmp_path, score):
+        dets = [det(1, 2, 3, 4, 0.5), det(5, 5, 5, 5, score)]
+        reference_write(tmp_path / "ref.json", dets)
+        with pytest.raises(ValueError, match=r"detection row 1: score") as read_error:
+            read_detections(tmp_path / "ref.json")
+        path = tmp_path / "dets.json"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError) as write_error:
+            write_detections(path, dets)
+        assert str(write_error.value) == str(read_error.value)
+        assert path.read_text() == "kept\n"
 
     def test_rewriting_a_read_file_gives_its_bytes(self, tmp_path, default_run, noisy_crowd):
         for name, dets in (("stock", default_run.detections), ("crowd", noisy_crowd[2].detections)):
