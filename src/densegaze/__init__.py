@@ -10,6 +10,7 @@ from .config import ConfigError, PipelineConfig, build_config
 from .core import (
     Annotation,
     BoundingBox,
+    Detection,
     Detections,
     EvalSizeBucket,
     ScaleLevel,

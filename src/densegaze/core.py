@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -122,8 +124,8 @@ class SceneExtent:
     height: int
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"SceneExtent must be positive, got {self.width}x{self.height}")
+        if not (0 < self.width <= sys.float_info.max and 0 < self.height <= sys.float_info.max):
+            raise ValueError(f"SceneExtent must be positive and fit a float, got {self.width}x{self.height}")
 
     @property
     def area(self) -> float:
@@ -154,21 +156,10 @@ def clip_corners(x0, y0, x1, y1, width, height) -> tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
-class PatchDetection:
-    """A scored box in the normalized-patch frame."""
-
-    bbox: BoundingBox
-    score: float
-    category: int = 0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be finite in [0, 1], got {self.score}")
-
-
-@dataclass(frozen=True)
-class GlobalDetection:
-    """A detection in original-image coordinates; source is the patch index."""
+class Detection:
+    """A scored box, its category and source (the index of its patch, -1
+    when unknown), in a frame tracked by context as BoundingBox's is; the
+    gaze and merge stages name it PatchDetection and GlobalDetection."""
 
     bbox: BoundingBox
     score: float
@@ -176,20 +167,21 @@ class GlobalDetection:
     source: int = -1
 
 
+PatchDetection = GlobalDetection = Detection
+
+
 @dataclass(frozen=True, eq=False)
 class Detections:
     """Scored boxes as columns: (n, 4) float64 x, y, width, height, float64
-    scores, and int64 categories and sources (-1 when unknown). Rows are
-    GlobalDetection when scene (original-image coordinates) is set, else
-    PatchDetection (one patch's normalized frame). Every box must be
-    finite with a positive size and every score in [0, 1]; the check runs
-    once per batch, and its ValueError names the first failing row."""
+    scores, and int64 categories and sources (-1 when unknown); its rows
+    are Detection objects. Every box must be finite with a positive size
+    and every score in [0, 1]; the check runs once per batch, and its
+    ValueError names the first failing row."""
 
     boxes: np.ndarray
     scores: np.ndarray
     categories: np.ndarray
     sources: np.ndarray | None = None
-    scene: bool = False
 
     def __post_init__(self) -> None:
         boxes = np.asarray(self.boxes, dtype=np.float64).reshape(-1, 4)
@@ -215,38 +207,37 @@ class Detections:
             raise ValueError(f"detection row {r}: score {scores[r]} is outside [0, 1]")
 
     @classmethod
-    def of(cls, dets, scene: bool) -> "Detections":
+    def of(cls, dets) -> "Detections":
         """dets when it is a Detections, else the columns of a sequence of
-        PatchDetection or GlobalDetection objects."""
+        Detection objects (a missing source reads -1), whose categories
+        pass json_category with a ValueError that names the row."""
         if isinstance(dets, Detections):
             return dets
         dets = list(dets)
-        scores, categories = [d.score for d in dets], [d.category for d in dets]
-        return cls(box_array(dets), scores, categories, [getattr(d, "source", -1) for d in dets], scene)
+        categories = [json_category(d.category, f"detection row {i}: category") for i, d in enumerate(dets)]
+        scores, sources = [d.score for d in dets], [getattr(d, "source", -1) for d in dets]
+        return cls(box_array(dets), scores, categories, sources)
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.boxes, self.scores, self.categories, self.sources
 
     def take(self, rows) -> "Detections":
         """The batch of the given rows (indices or a boolean mask), in order."""
-        return Detections(*(c[rows] for c in self._columns()), self.scene)
+        return Detections(*(c[rows] for c in self._columns()))
 
     def __len__(self) -> int:
         return len(self.boxes)
 
-    def _item(self, box: list[float], score: float, category: int, source: int):
-        box = BoundingBox(*box)
-        return GlobalDetection(box, score, category, source) if self.scene else PatchDetection(box, score, category)
-
     def __iter__(self):
-        return (self._item(*row) for row in zip(*(c.tolist() for c in self._columns())))
+        return (Detection(BoundingBox(*box), *row) for box, *row in zip(*(c.tolist() for c in self._columns())))
 
-    def __getitem__(self, index: int):
+    def __getitem__(self, index: int) -> Detection:
         r = range(len(self))[operator.index(index)]
-        return self._item(*(c[r].tolist() for c in self._columns()))
+        box, *row = (c[r].tolist() for c in self._columns())
+        return Detection(BoundingBox(*box), *row)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Detections) and self.scene == other.scene and all(
+        return isinstance(other, Detections) and all(
             np.array_equal(a, b) for a, b in zip(self._columns(), other._columns())
         )
 
@@ -377,13 +368,29 @@ def eval_size_bucket(box: BoundingBox) -> EvalSizeBucket:
 
 
 def json_int(v, what: str) -> int:
-    """A JSON integer field: an int that is not a bool, or a float with no
+    """A JSON integer field as a Python int: an integral number that is not
+    a bool (numbers.Integral, so numpy integers pass), or a float with no
     fractional part; anything else raises ValueError naming the field."""
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
+    # Plain ints skip the numbers ABC check, which costs about 1 us a call.
+    if type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
     if isinstance(v, float) and v.is_integer():
         return int(v)
     raise ValueError(f"{what} must be an integer, got {v!r}")
+
+
+def json_float(v, what: str) -> float:
+    """A JSON number field as a float: a real number that is not a bool
+    (numbers.Real, so numpy floats pass); anything else, or an int beyond
+    float range, raises ValueError naming the field."""
+    if type(v) is float:
+        return v
+    if type(v) is int or isinstance(v, numbers.Real) and not isinstance(v, bool):  # as in json_int
+        try:
+            return float(v)
+        except OverflowError:
+            raise ValueError(f"{what} {v} is outside float range") from None
+    raise ValueError(f"{what} must be a number, got {v!r}")
 
 
 def json_list(doc, what: str) -> list:
@@ -393,22 +400,23 @@ def json_list(doc, what: str) -> list:
     return doc
 
 
-def json_category(v) -> int:
+def json_category(v, what: str = "category") -> int:
     """A json_int category that fits the int64 columns it is kept in."""
-    category = json_int(v, "category")
+    category = json_int(v, what)
     if not -(2**63) <= category < 2**63:
-        raise ValueError(f"category {category} is outside int64")
+        raise ValueError(f"{what} {category} is outside int64")
     return category
 
 
 def detection_row(row) -> tuple[tuple[float, float, float, float], float, int]:
     """The (x, y, w, h) box, score and category of one detection row: four
-    finite bbox numbers, a score in [0, 1], a json_category (default 0).
-    A missing field raises KeyError, a malformed one TypeError or ValueError."""
-    x, y, w, h = (float(v) for v in row["bbox"])
+    finite json_float bbox values, a json_float score in [0, 1], a
+    json_category (default 0). A missing field raises KeyError, a
+    malformed one TypeError or ValueError."""
+    x, y, w, h = (v if type(v) is float else json_float(v, "bbox value") for v in row["bbox"])
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
         raise ValueError("bbox values must be finite")
-    score = float(row["score"])
+    score = json_float(row["score"], "score")
     if not 0.0 <= score <= 1.0:  # also rejects NaN
         raise ValueError(f"score {score} is outside [0, 1]")
     return (x, y, w, h), score, json_category(row.get("category", 0))
@@ -444,7 +452,7 @@ def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
             if ann_id in seen:
                 raise ValueError(f"duplicate annotation id {ann_id} in {path}")
             seen.add(ann_id)
-            x, y, w, h = (float(v) for v in entry["bbox"])
+            x, y, w, h = (v if type(v) is float else json_float(v, "bbox value") for v in entry["bbox"])
             box = BoundingBox(x, y, w, h)
             # Clipping recomputes the width as (x + w) - x, which can move it
             # by an ulp; only a box that crosses an edge pays that.
@@ -463,15 +471,19 @@ def save_scene(path: str | Path, annotations: list[Annotation], extent: SceneExt
 
     The bytes are those of json.dump(doc, indent=1) plus a newline; the
     fixed layout is written directly rather than through the pure-Python
-    indenting encoder. Ids and categories pass load_scene's json_int and
-    json_category rules: an annotation that load_scene would reject raises
-    ValueError naming its index before the file is opened.
+    indenting encoder. The scene size, ids, box values and categories pass
+    load_scene's rules (json_int, json_float, json_category) before the
+    file is opened; an annotation that fails raises ValueError naming its
+    index. A box value is written as a float, but an int keeps json.dump's
+    spelling (BoundingBox bounds ints to float range).
     """
+    size = (json_int(extent.width, "width"), json_int(extent.height, "height"))
     rows = []
     for index, a in enumerate(annotations):
         b = a.bbox
         try:
-            values = (json_int(a.id, "id"), b.x, b.y, b.width, b.height, json_category(a.category))
+            box = [v if type(v) is int else json_float(v, "bbox value") for v in (b.x, b.y, b.width, b.height)]
+            values = (json_int(a.id, "id"), *box, json_category(a.category))
         except ValueError as exc:
             raise ValueError(f"annotation entry {index}: {exc!s}") from exc
         rows.append(
@@ -482,5 +494,5 @@ def save_scene(path: str | Path, annotations: list[Annotation], extent: SceneExt
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             '{\n "scene": {\n  "width": %s,\n  "height": %s\n },\n "annotations": %s\n}\n'
-            % (extent.width, extent.height, body)
+            % (*size, body)
         )

@@ -137,7 +137,7 @@ def match_detections(
 
     Returns (detection order, matched gt index per ordered detection).
     """
-    order, match = _match(Detections.of(dets, scene=True), *_annotation_columns(gts), iou_threshold)
+    order, match = _match(Detections.of(dets), *_annotation_columns(gts), iou_threshold)
     return order.tolist(), [None if gi < 0 else gi for gi in match.tolist()]
 
 
@@ -207,7 +207,7 @@ def _slices(
     size_filters: tuple[EvalSizeBucket | None, ...],
 ) -> list[ApResult]:
     """Match once at IoU 0.5, then take every requested slice."""
-    dets = Detections.of(dets, scene=True)
+    dets = Detections.of(dets)
     gt_boxes, gt_categories = _annotation_columns(gts)
     order, match = _match(dets, gt_boxes, gt_categories, MATCH_IOU)
     det_bucket, gt_bucket = _size_buckets(dets.boxes[order]), _size_buckets(gt_boxes)

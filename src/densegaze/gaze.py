@@ -8,11 +8,11 @@ from ground truth for desk-scale verification, a costed wrapper meters
 pixel spend, and an external-command adapter hands batches to a real
 model through a JSON file exchange.
 
-A detector answers each patch with a Detections batch (a list of
-PatchDetection objects is still accepted). With one worker, detect runs
-on the calling thread; with more, on a pool of worker threads, so
-adapters must be safe to call concurrently. Results are always returned
-in input patch order, so worker count never changes the output.
+A detector answers each patch with a Detections batch in the patch's
+frame, or a list of Detection rows. With one worker, detect runs on the
+calling thread; with more, on a pool of worker threads, so adapters must
+be safe to call concurrently. Results are always returned in input patch
+order, so worker count never changes the output.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class DetectorAdapter(ABC):
 
     detect must be a pure function of the normalized patch and safe to
     call from several workers at once. It returns a Detections batch in
-    the normalized frame, or a list of PatchDetection objects.
+    the normalized frame, or a list of Detection objects held to its rules.
     """
 
     @abstractmethod
@@ -255,13 +255,13 @@ class CostedDetector(DetectorAdapter):
 @dataclass(frozen=True)
 class GazeResult:
     """One patch's normalization record and its detections batch; a list
-    of PatchDetection objects given for it is converted once."""
+    of Detection objects given for it is converted once by Detections.of."""
 
     normalized: NormalizedPatch
     detections: Detections
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "detections", Detections.of(self.detections, scene=False))
+        object.__setattr__(self, "detections", Detections.of(self.detections))
 
     @property
     def patch(self) -> Patch:

@@ -74,7 +74,7 @@ def global_nms(dets: list[GlobalDetection], iou_threshold: float = DEFAULT_NMS_I
     category asc), so output is deterministic.
     """
     _check_threshold(iou_threshold)
-    return [dets[r] for r in _nms_keep(Detections.of(dets, scene=True), iou_threshold).tolist()]
+    return [dets[r] for r in _nms_keep(Detections.of(dets), iou_threshold).tolist()]
 
 
 def _lift_and_clip(
@@ -105,13 +105,13 @@ def merge_run(
     """
     _check_threshold(iou_threshold)
     if not results:
-        return Detections([], [], [], scene=True)
+        return Detections([], [], [])
     batches = [result.detections for result in results]
     sources = np.repeat(np.arange(len(results)), [len(b) for b in batches])
     scores = np.concatenate([b.scores for b in batches])
     categories = np.concatenate([b.categories for b in batches])
     boxes, inside = _lift_and_clip(results, np.concatenate([b.boxes for b in batches]), sources, extent)
-    lifted = Detections(boxes, scores[inside], categories[inside], sources[inside], scene=True)
+    lifted = Detections(boxes, scores[inside], categories[inside], sources[inside])
     return lifted.take(_nms_keep(lifted, iou_threshold))
 
 
@@ -125,12 +125,12 @@ def write_detections(path: str | Path, dets: Detections | list[GlobalDetection])
     The bytes are those of json.dump(rows, indent=1) plus a newline; the
     fixed row layout is written directly rather than through the
     pure-Python indenting encoder. Every input is written from the
-    columns of Detections.of(dets, scene=True), whose values are finite
+    columns of Detections.of(dets), whose values are finite
     floats and ints that str spells as json does. A list row that
     read_detections would reject raises the batch's "detection row i"
     ValueError before the file is opened.
     """
-    dets = Detections.of(dets, scene=True)
+    dets = Detections.of(dets)
     x, y, w, h = dets.boxes.T.tolist()
     text = ",\n".join([_ROW % row for row in zip(x, y, w, h, dets.scores.tolist(), dets.categories.tolist())])
     with open(path, "w", encoding="utf-8") as fh:
@@ -151,4 +151,4 @@ def read_detections(path: str | Path) -> Detections:
             parsed.append(detection_row(row))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"detection row {index}: {exc!s}") from exc
-    return Detections(*row_columns(parsed), scene=True)
+    return Detections(*row_columns(parsed))

@@ -8,7 +8,7 @@ neighbors overlap and objects on cell borders stay whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,11 +53,12 @@ class IntegralImage:
 
 
 @dataclass(frozen=True)
-class CellDensity:
-    """Expected object count inside one grid cell.
-
-    region is the cell footprint in original-image pixels; cells of one
-    grid tile the scene exactly.
+class Patch:
+    """A scored grid cell (CellDensity is another name for it): scale,
+    grid position, expected object count (density) and a region in
+    original-image pixels, the cell footprint (cells of one grid tile the
+    scene exactly) or, once selected, that footprint grown by the
+    expansion factor and clipped to the scene.
     """
 
     scale: ScaleLevel
@@ -67,15 +68,7 @@ class CellDensity:
     density: float
 
 
-@dataclass(frozen=True)
-class Patch:
-    """A selected region: its cell grown by the expansion factor and clipped."""
-
-    scale: ScaleLevel
-    ix: int
-    iy: int
-    region: BoundingBox
-    density: float
+CellDensity = Patch
 
 
 def build_integral(dmap: DensityMap) -> IntegralImage:
@@ -161,12 +154,13 @@ def _cell_sums(values: np.ndarray, xs: list[int], ys: list[int]) -> np.ndarray:
     return np.where(0.0 > s, 0.0, s)
 
 
-def grid_densities(dmap: DensityMap, grid: GridSpec, extent: SceneExtent) -> list[CellDensity]:
-    """Integrate the map over each grid cell; cells ordered row-major (iy, ix)."""
+def grid_densities(dmap: DensityMap, grid: GridSpec, extent: SceneExtent) -> list[Patch]:
+    """Integrate the map over each grid cell: one Patch per cell, whose
+    region is the cell footprint, ordered row-major (iy, ix)."""
     xs, ys = _grid_bounds(dmap, grid, extent)
     densities = _cell_sums(dmap.values, xs, ys).tolist()
     return [
-        CellDensity(
+        Patch(
             scale=grid.scale,
             ix=ix,
             iy=iy,
@@ -200,12 +194,13 @@ def _check_selection(threshold: float, expansion: float, extent: SceneExtent | N
 
 
 def select_patches(
-    cells: list[CellDensity],
+    cells: list[Patch],
     threshold: float = DEFAULT_DENSITY_THRESHOLD,
     expansion: float = DEFAULT_EXPANSION,
     extent: SceneExtent | None = None,
 ) -> list[Patch]:
-    """Turn cells strictly above the density threshold into expanded patches.
+    """Keep the cells strictly above the density threshold, each with only
+    its region replaced by expand_and_clip of it.
 
     The comparison is strict, so threshold 0 keeps exactly the cells with
     any mass. Patches clipped at a scene border keep their clipped region
@@ -214,16 +209,7 @@ def select_patches(
     _check_selection(threshold, expansion, extent)
     selected = [c for c in cells if c.density > threshold]
     selected.sort(key=lambda c: (int(c.scale), c.iy, c.ix))
-    return [
-        Patch(
-            scale=c.scale,
-            ix=c.ix,
-            iy=c.iy,
-            region=expand_and_clip(c.region, expansion, extent),
-            density=c.density,
-        )
-        for c in selected
-    ]
+    return [replace(c, region=expand_and_clip(c.region, expansion, extent)) for c in selected]
 
 
 def saccade(

@@ -13,6 +13,7 @@ from densegaze.density import read_dmap
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BIG = 10**400  # a JSON integer beyond float range
 
 
 def run_cli(*argv):
@@ -466,6 +467,67 @@ class TestExitCodes:
             "--adapter", f"exec:{sys.executable} {script}",
         ) == 4
         assert "malformed detection row 0 " in capsys.readouterr().err
+
+    # Box values, scores and the scene size are JSON numbers: a string or a
+    # boolean is refused, and so is an integer beyond float range.
+    @pytest.mark.parametrize("command", ["stats", "eval"])
+    @pytest.mark.parametrize(
+        "bbox, message",
+        [
+            (["10", True, "5e0", 7], "bbox value must be a number, got '10'"),
+            ([10, True, 5, 7], "bbox value must be a number, got True"),
+            ([10, 10, BIG, 7], f"bbox value {BIG} is outside float range"),
+        ],
+        ids=["strings", "boolean", "beyond_float"],
+    )
+    def test_non_number_scene_box_value_is_io_error(self, tmp_path, capsys, command, bbox, message):
+        scene = tmp_path / "scene.json"
+        rows = [{"id": 0, "bbox": [10.0, 10.0, 5.0, 5.0]}, {"id": 1, "bbox": bbox}]
+        scene.write_text(json.dumps({"scene": {"width": 100, "height": 100}, "annotations": rows}))
+        dets = tmp_path / "dets.json"
+        dets.write_text("[]")
+        args = ("--detections", dets) if command == "eval" else ()
+        assert run_cli(command, "--annotations", scene, *args) == 3
+        assert f"annotation entry 1: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stats", "run"])
+    def test_scene_size_beyond_float_is_io_error(self, tmp_path, capsys, command):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({"scene": {"width": BIG, "height": 100}, "annotations": []}))
+        out = tmp_path / "d.json"
+        args = ("--out", out) if command == "run" else ()
+        assert run_cli(command, "--annotations", scene, *args) == 3
+        assert "SceneExtent must be positive and fit a float" in capsys.readouterr().err
+        assert not out.exists()
+
+    NON_NUMBER_ROWS = [
+        ({"bbox": [10.0, 10.0, 5.0, 5.0], "score": "0.5"}, "score must be a number, got '0.5'"),
+        ({"bbox": [10.0, 10.0, 5.0, 5.0], "score": True}, "score must be a number, got True"),
+        ({"bbox": [10.0, 10.0, 5.0, 5.0], "score": BIG}, f"score {BIG} is outside float range"),
+        ({"bbox": [10.0, "10", 5.0, 5.0], "score": 0.5}, "bbox value must be a number, got '10'"),
+        ({"bbox": [10.0, 10.0, BIG, 5.0], "score": 0.5}, f"bbox value {BIG} is outside float range"),
+    ]
+    NON_NUMBER_IDS = ["string_score", "boolean_score", "score_beyond_float", "string_box", "box_beyond_float"]
+
+    @pytest.mark.parametrize("row, message", NON_NUMBER_ROWS, ids=NON_NUMBER_IDS)
+    def test_non_number_detection_value_is_io_error(self, scene_file, tmp_path, capsys, row, message):
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps([row]))
+        assert run_cli("eval", "--detections", dets, "--annotations", scene_file) == 3
+        assert f"detection row 0: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, message", NON_NUMBER_ROWS, ids=NON_NUMBER_IDS)
+    def test_non_number_exec_value_is_adapter_error(self, scene_file, tmp_path, capsys, row, message):
+        row = {"patch_id": 0, **row}
+        script = tmp_path / "detector.py"
+        script.write_text(f"import json, sys\njson.dump([{row!r}], open(sys.argv[2], 'w'))\n")
+        out = tmp_path / "d.json"
+        assert run_cli(
+            "run", "--annotations", scene_file, "--out", out, "--adapter", f"exec:{sys.executable} {script}",
+        ) == 4
+        err = capsys.readouterr().err
+        assert "malformed detection row 0 " in err and message in err
+        assert not out.exists()
 
     # Categories are kept in int64 columns; one just outside either end is
     # rejected where it is parsed, with the exit code of its input.

@@ -10,6 +10,7 @@ from densegaze import core
 from densegaze.core import (
     Annotation,
     BoundingBox,
+    Detection,
     Detections,
     EvalSizeBucket,
     GlobalDetection,
@@ -57,10 +58,10 @@ class TestBoundingBox:
 class TestDetections:
     BOXES = [[1.0, 2.0, 3.0, 4.0], [-0.0, 5.5, 0.25, 1e9]]
 
-    def batch(self, scene=False, **columns):
+    def batch(self, **columns):
         return Detections(
             columns.get("boxes", self.BOXES), columns.get("scores", [0.5, 1.0]),
-            columns.get("categories", [3, 2**53 + 1]), columns.get("sources"), scene,
+            columns.get("categories", [3, 2**53 + 1]), columns.get("sources"),
         )
 
     def test_columns_and_len(self):
@@ -71,39 +72,36 @@ class TestDetections:
         assert d.sources.tolist() == [-1, -1]
 
     def test_empty_batch(self):
-        for d in (Detections(np.empty((0, 4)), [], []), Detections([], [], [], scene=True)):
+        for d in (Detections(np.empty((0, 4)), [], []), Detections([], [], [], [])):
             assert len(d) == 0 and d.boxes.shape == (0, 4)
             assert list(d) == []
             with pytest.raises(IndexError):
                 d[0]
         assert Detections([], [], []) == Detections(np.empty((0, 4)), np.empty(0), np.empty(0, np.int64))
 
-    def test_patch_frame_rows_are_patch_detections(self):
-        d = self.batch()
+    def test_one_detection_type(self):
+        assert PatchDetection is GlobalDetection is Detection
+        assert Detection(BoundingBox(1, 2, 3, 4), 0.5) == Detection(BoundingBox(1, 2, 3, 4), 0.5, 0, -1)
+
+    def test_rows_are_detections(self):
+        d = self.batch(sources=[4, 7])
         rows = list(d)
         assert rows == [
-            PatchDetection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5, 3),
-            PatchDetection(BoundingBox(-0.0, 5.5, 0.25, 1e9), 1.0, 2**53 + 1),
+            Detection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5, 3, 4),
+            Detection(BoundingBox(-0.0, 5.5, 0.25, 1e9), 1.0, 2**53 + 1, 7),
         ]
-        assert [d[0], d[1]] == rows and d[-1] == rows[1]
+        assert [d[0], d[1]] == rows and d[-1] == rows[1] and d[-2] == rows[0]
         assert str(rows[1].bbox.x) == "-0.0"
-        assert all(type(r.score) is float and type(r.category) is int for r in rows)
+        assert all(type(r) is Detection for r in rows)
+        assert all(type(r.score) is float and type(r.category) is int and type(r.source) is int for r in rows)
+        assert list(self.batch()) == [Detection(r.bbox, r.score, r.category) for r in rows]
         with pytest.raises(IndexError):
             d[2]
         with pytest.raises(TypeError):
             d[:1]
 
-    def test_scene_frame_rows_are_global_detections(self):
-        d = self.batch(scene=True, sources=[4, 7])
-        assert list(d) == [
-            GlobalDetection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5, 3, 4),
-            GlobalDetection(BoundingBox(-0.0, 5.5, 0.25, 1e9), 1.0, 2**53 + 1, 7),
-        ]
-        assert d[-2] == GlobalDetection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5, 3, 4)
-
     def test_value_equality(self):
         assert self.batch() == self.batch()
-        assert self.batch() != self.batch(scene=True)
         assert self.batch() != self.batch(scores=[0.5, 0.75])
         assert self.batch() != self.batch(categories=[3, 2**53])
         assert self.batch() != self.batch(sources=[0, 1])
@@ -111,11 +109,29 @@ class TestDetections:
         assert self.batch() != list(self.batch())
 
     def test_of_converts_per_box_objects_once(self):
-        d = self.batch(scene=True, sources=[4, 7])
-        assert Detections.of(d, scene=True) is d
-        assert Detections.of(list(d), scene=True) == d
+        d = self.batch(sources=[4, 7])
+        assert Detections.of(d) is d
+        assert Detections.of(list(d)) == d
         patch = self.batch()
-        assert Detections.of(list(patch), scene=False) == patch
+        assert Detections.of(list(patch)) == patch
+
+    @pytest.mark.parametrize(
+        "category, message",
+        [
+            (2**70, "detection row 1: category 1180591620717411303424 is outside int64"),
+            (2.5, "detection row 1: category must be an integer, got 2.5"),
+            (True, "detection row 1: category must be an integer, got True"),
+        ],
+        ids=["2**70", "2.5", "True"],
+    )
+    def test_of_checks_categories_naming_the_row(self, category, message):
+        rows = [Detection(BoundingBox(1, 2, 3, 4), 0.5), Detection(BoundingBox(1, 2, 3, 4), 0.5, category)]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Detections.of(rows)
+
+    def test_of_takes_numpy_integer_categories(self):
+        d = Detections.of([Detection(BoundingBox(1, 2, 3, 4), 0.5, np.int64(3))])
+        assert d.categories.tolist() == [3]
 
     @pytest.mark.parametrize(
         "columns, message",
@@ -362,8 +378,9 @@ class TestSceneIo:
             ("category", True, "category must be an integer, got True"),
             ("category", 2.5, "category must be an integer, got 2.5"),
             ("category", 2**70, "category 1180591620717411303424 is outside int64"),
+            ("bbox", BoundingBox(True, 2, 3, 4), "bbox value must be a number, got True"),
         ],
-        ids=["id-True", "id-2.5", "category-True", "category-2.5", "category-2**70"],
+        ids=["id-True", "id-2.5", "category-True", "category-2.5", "category-2**70", "bbox-True"],
     )
     def test_refuses_what_load_scene_rejects(self, tmp_path, field, value, message):
         bad = Annotation(**{"id": 1, "bbox": BoundingBox(1, 2, 3, 4), "category": 0, field: value})
@@ -373,6 +390,38 @@ class TestSceneIo:
         with pytest.raises(ValueError, match=re.escape(f"annotation entry 1: {message}")):
             save_scene(path, annotations, SceneExtent(10, 10))
         assert path.read_text() == "kept\n"
+
+    def test_numpy_values_are_written_as_json_numbers(self, tmp_path):
+        annotations = [Annotation(np.int64(5), BoundingBox(np.float64(1.5), 2, np.float32(0.5), 4), np.int64(3))]
+        path = tmp_path / "scene.json"
+        save_scene(path, annotations, SceneExtent(np.int64(10), 10))
+        doc = json.loads(path.read_text())
+        assert doc["scene"] == {"width": 10, "height": 10}
+        assert doc["annotations"] == [{"id": 5, "bbox": [1.5, 2, 0.5, 4], "category": 3}]
+        assert load_scene(path) == ([Annotation(5, BoundingBox(1.5, 2.0, 0.5, 4.0), 3)], SceneExtent(10, 10))
+
+    def test_refuses_a_scene_size_load_scene_rejects(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match="^width must be an integer, got True$"):
+            save_scene(path, [], SceneExtent(True, 10))
+        assert path.read_text() == "kept\n"
+
+    def test_scene_size_must_fit_a_float(self):
+        with pytest.raises(ValueError, match="SceneExtent must be positive and fit a float"):
+            SceneExtent(10**400, 10)
+
+    def test_json_numbers(self):
+        for value in (0.5, np.float64(0.5), np.float32(0.5), 1, np.int64(1)):
+            assert type(core.json_float(value, "x")) is float and core.json_float(value, "x") == float(value)
+        for value, message in ((True, "got True"), (np.bool_(True), "got np.True_"), ("1", "got '1'"),
+                               (None, "got None"), (10**400, f"{10**400} is outside float range")):
+            with pytest.raises(ValueError, match=f"^x .*{re.escape(message)}$"):
+                core.json_float(value, "x")
+        assert [(type(v), v) for v in (core.json_int(np.int64(3), "x"), core.json_int(2.0, "x"))] == [(int, 3), (int, 2)]
+        for value in (True, np.bool_(False), 2.5, np.float32(2.0), "2"):
+            with pytest.raises(ValueError, match="^x must be an integer"):
+                core.json_int(value, "x")
 
     def test_an_id_beyond_int64_round_trips(self, tmp_path):
         # load_scene bounds categories, which it keeps in int64 columns, but not ids.

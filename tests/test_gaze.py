@@ -488,6 +488,18 @@ class TestAdapterReturnForms:
         good = run_gaze(patches, _BadRows(form, defect), (1000, 1000), workers=workers)
         assert [r.detections for r in good] == [Detections([[1.0, 1.0, 5.0, 5.0]], [0.5], [0])] * 6
 
+    @pytest.mark.parametrize("category", [2.5, True, 2**70], ids=["2.5", "True", "2**70"])
+    def test_a_list_answer_with_a_non_integer_category_blames_its_patch(self, category):
+        class BadCategory(DetectorAdapter):
+            def detect(self, np_patch):
+                c = category if np_patch.patch.ix == 2 else 0
+                return [PatchDetection(BoundingBox(1.0, 1.0, 5.0, 5.0), 0.5, c)]
+
+        patches = [make_patch(i * 1000.0, 0, 1000, 1000, ix=i) for i in range(4)]
+        with pytest.raises(AdapterError, match=r"cell=\(2,0\): detection row 0: category") as err:
+            run_gaze(patches, BadCategory(), (1000, 1000))
+        assert err.value.patch is patches[2]
+
 
 ECHO_DETECTOR = textwrap.dedent(
     """

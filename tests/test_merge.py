@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densegaze.config import PipelineConfig
-from densegaze.core import Annotation, BoundingBox, Detections, ScaleLevel, SceneExtent, iou
+from densegaze.core import Annotation, BoundingBox, Detection, Detections, ScaleLevel, SceneExtent, iou
 from densegaze.density import render_gt_density
 from densegaze.gaze import (
     GazeResult,
@@ -367,11 +367,11 @@ class TestDetectionsIo:
             GlobalDetection(BoundingBox(-0.0, 5e-324, 1e16, 3), 0.5, 2, 1),
             GlobalDetection(BoundingBox(1, 2, 3.5, 4), 1, 7),
             GlobalDetection(BoundingBox(0.1, 1e-7, 123456789.125, 1e22), 0.30000000000000004),
-            GlobalDetection(BoundingBox(5, 5, 5, 5), 0, True),
+            GlobalDetection(BoundingBox(5, 5, 5, 5), 0, np.int64(1)),
         ]
         for dets in (default_run.detections, noisy_crowd[2].detections, [], odd):
             write_detections(tmp_path / "new.json", dets)
-            reference_write(tmp_path / "ref.json", Detections.of(dets, scene=True))
+            reference_write(tmp_path / "ref.json", Detections.of(dets))
             assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf"), 1.5])
@@ -387,12 +387,25 @@ class TestDetectionsIo:
         assert str(write_error.value) == str(read_error.value)
         assert path.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("category", [2**70, 2.5, True], ids=["2**70", "2.5", "True"])
+    def test_refuses_a_category_its_reader_rejects(self, tmp_path, category):
+        dets = [det(1, 2, 3, 4, 0.5), det(5, 5, 5, 5, 0.5, category)]
+        reference_write(tmp_path / "ref.json", dets)
+        with pytest.raises(ValueError, match=r"detection row 1: category") as read_error:
+            read_detections(tmp_path / "ref.json")
+        path = tmp_path / "dets.json"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError) as write_error:
+            write_detections(path, dets)
+        assert str(write_error.value) == str(read_error.value)
+        assert path.read_text() == "kept\n"
+
     def test_rewriting_a_read_file_gives_its_bytes(self, tmp_path, default_run, noisy_crowd):
         for name, dets in (("stock", default_run.detections), ("crowd", noisy_crowd[2].detections)):
             first, second = tmp_path / f"{name}.json", tmp_path / f"{name}_again.json"
             write_detections(first, dets)
             loaded = read_detections(first)
-            assert isinstance(loaded, Detections) and loaded.scene
+            assert isinstance(loaded, Detections)
             assert np.array_equal(loaded.boxes, dets.boxes) and np.array_equal(loaded.scores, dets.scores)
             write_detections(second, loaded)
             assert second.read_bytes() == first.read_bytes()
@@ -406,14 +419,27 @@ class TestDetectionsIo:
                 init(self, *args, **kwargs)
             return counted
 
-        for cls in (PatchDetection, GlobalDetection):
-            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
-        PatchDetection(BoundingBox(1, 1, 1, 1), 1.0)  # the count sees a construction
-        assert built == [PatchDetection]
+        monkeypatch.setattr(Detection, "__init__", counting(Detection.__init__))
+        Detection(BoundingBox(1, 1, 1, 1), 1.0)  # the count sees a construction
+        assert built == [Detection]
         annotations, extent = default_scene
         run = run_pipeline(annotations, extent, PipelineConfig(), OracleDetector(annotations))
         write_detections(tmp_path / "dets.json", run.detections)
-        assert len(run.detections) > 500 and built == [PatchDetection]
+        assert len(run.detections) > 500 and built == [Detection]
+
+    def test_patch_and_merged_batches_have_one_row_type(self, default_scene, default_run):
+        annotations, _ = default_scene
+        result = next(r for r in default_run.gaze_results if len(r.detections) > 1)
+        patch_batch = OracleDetector(annotations).detect(result.normalized)
+        assert patch_batch == result.detections
+        rows = list(patch_batch)
+        assert all(type(d) is Detection and d.source == -1 for d in rows)
+        assert rows == [PatchDetection(d.bbox, 1.0, d.category) for d in rows]
+        merged = default_run.detections
+        assert all(type(d) is Detection for d in merged)
+        assert [d.source for d in merged] == merged.sources.tolist() and merged.sources.min() >= 0
+        for batch in (patch_batch, merged):
+            assert Detections.of(list(batch)) == batch
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -1,5 +1,6 @@
 import importlib
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,8 +13,10 @@ from densegaze.density import DensityMap, DensityMapSet, render_gt_density
 from densegaze.saccade import (
     CellDensity,
     GridSpec,
+    Patch,
     build_integral,
     default_grids,
+    expand_and_clip,
     grid_densities,
     patch_manifest,
     saccade,
@@ -203,6 +206,15 @@ class TestSelectPatches:
 
     def test_all_zero(self):
         assert select_patches(self._cells([0.0] * 16), 0.2, 1.2, self.EXTENT) == []
+
+    def test_one_scored_cell_type(self):
+        assert CellDensity is Patch
+
+    def test_selected_cells_keep_all_but_their_region(self):
+        cells = self._cells([0.0, 0.5, 0.0, 0.9] + [0.0] * 11 + [0.3])
+        patches = select_patches(cells, 0.2, 1.2, self.EXTENT)
+        selected = [cells[1], cells[3], cells[15]]
+        assert patches == [replace(c, region=expand_and_clip(c.region, 1.2, self.EXTENT)) for c in selected]
 
     def test_interior_expansion(self):
         cells = self._cells([0.0] * 16)
