@@ -83,22 +83,34 @@ class TestDetections:
         assert PatchDetection is GlobalDetection is Detection
         assert Detection(BoundingBox(1, 2, 3, 4), 0.5) == Detection(BoundingBox(1, 2, 3, 4), 0.5, 0, -1)
 
-    def test_rows_are_detections(self):
-        d = self.batch(sources=[4, 7])
+    def test_patch_frame_rows_are_patch_detections(self):
+        d = self.batch()
         rows = list(d)
         assert rows == [
-            Detection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5, 3, 4),
-            Detection(BoundingBox(-0.0, 5.5, 0.25, 1e9), 1.0, 2**53 + 1, 7),
+            PatchDetection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5, 3),
+            PatchDetection(BoundingBox(-0.0, 5.5, 0.25, 1e9), 1.0, 2**53 + 1),
         ]
-        assert [d[0], d[1]] == rows and d[-1] == rows[1] and d[-2] == rows[0]
+        assert [d[0], d[1]] == rows and d[-1] == rows[1]
         assert str(rows[1].bbox.x) == "-0.0"
-        assert all(type(r) is Detection for r in rows)
+        assert all(type(r) is Detection and r.source == -1 for r in rows)
         assert all(type(r.score) is float and type(r.category) is int and type(r.source) is int for r in rows)
-        assert list(self.batch()) == [Detection(r.bbox, r.score, r.category) for r in rows]
         with pytest.raises(IndexError):
             d[2]
         with pytest.raises(TypeError):
             d[:1]
+
+    def test_scene_frame_rows_are_global_detections(self):
+        d = self.batch(sources=[4, 7])
+        rows = list(d)
+        assert rows == [
+            GlobalDetection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5, 3, 4),
+            GlobalDetection(BoundingBox(-0.0, 5.5, 0.25, 1e9), 1.0, 2**53 + 1, 7),
+        ]
+        assert [d[0], d[1]] == rows and d[-1] == rows[1] and d[-2] == rows[0]
+        assert all(type(r) is Detection and type(r.source) is int for r in rows)
+        assert list(self.batch()) == [Detection(r.bbox, r.score, r.category) for r in rows]
+        with pytest.raises(IndexError):
+            d[2]
 
     def test_value_equality(self):
         assert self.batch() == self.batch()
