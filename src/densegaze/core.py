@@ -58,7 +58,8 @@ class BoundingBox:
     """Axis-aligned box as (left, top, width, height) in pixels.
 
     The coordinate frame (global image vs. patch) is tracked by context;
-    a single collection never mixes frames.
+    a single collection never mixes frames. Each value is a finite
+    json_float number (a ValueError names the field), stored as given.
     """
 
     x: float
@@ -69,12 +70,10 @@ class BoundingBox:
     def __post_init__(self) -> None:
         for name in ("x", "y", "width", "height"):
             v = getattr(self, name)
-            if not math.isfinite(v):
+            if not math.isfinite(v if type(v) is float else json_float(v, f"BoundingBox.{name}")):
                 raise ValueError(f"BoundingBox.{name} must be finite, got {v!r}")
         if self.width <= 0 or self.height <= 0:
-            raise ValueError(
-                f"BoundingBox dimensions must be positive, got {self.width}x{self.height}"
-            )
+            raise ValueError(f"BoundingBox dimensions must be positive, got {self.width}x{self.height}")
 
     @property
     def right(self) -> float:
@@ -170,13 +169,33 @@ class Detection:
 PatchDetection = GlobalDetection = Detection
 
 
+def _number_column(values, dtype, rule, what, width=1) -> tuple[np.ndarray, dict[int, str]]:
+    """values as an (n, width) dtype array ((n,) at width 1), and by row the
+    message of the first element rule(v, what) refuses: only a non-empty
+    column of bool or unsafe dtype is checked, a list as the objects it holds."""
+    a, shape = np.asarray(values), (-1, width) if width > 1 else -1
+    if a.size == 0 or a.dtype.kind != "b" and np.can_cast(a.dtype, dtype):
+        return np.asarray(a, dtype=dtype).reshape(shape), {}
+    kept, faults = [], {}
+    for i, v in enumerate(np.asarray(values, dtype=object).ravel().tolist()):
+        try:
+            kept.append(rule(v, what))
+        except ValueError as exc:
+            kept.append(0)
+            faults.setdefault(i // width, str(exc))
+    return np.array(kept, dtype=dtype).reshape(shape), faults
+
+
 @dataclass(frozen=True, eq=False)
 class Detections:
     """Scored boxes as columns: (n, 4) float64 x, y, width, height, float64
     scores, and int64 categories and sources (-1 when unknown); its rows
-    are Detection objects. Every box must be finite with a positive size
-    and every score in [0, 1]; the check runs once per batch, and its
-    ValueError names the first failing row."""
+    are Detection objects. Each row meets detection_row's rules and has a
+    positive size; the check runs once per batch (a numeric column costs a
+    dtype test), and its ValueError names the first failing row and its
+    first fault: box, then score, then category. A list column is read as
+    np.asarray reads it, so a bool among numbers is a number; Detections.of
+    hands on scores and categories as the objects given."""
 
     boxes: np.ndarray
     scores: np.ndarray
@@ -184,39 +203,40 @@ class Detections:
     sources: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        boxes = np.asarray(self.boxes, dtype=np.float64).reshape(-1, 4)
-        columns = {
-            "boxes": boxes,
-            "scores": np.asarray(self.scores, dtype=np.float64).reshape(-1),
-            "categories": np.asarray(self.categories, dtype=np.int64).reshape(-1),
-            "sources": np.full(len(boxes), -1, dtype=np.int64) if self.sources is None
-            else np.asarray(self.sources, dtype=np.int64).reshape(-1),
-        }
+        boxes, box_faults = _number_column(self.boxes, np.float64, json_float, "bbox value", 4)
+        scores, score_faults = _number_column(self.scores, np.float64, json_float, "score")
+        categories, category_faults = _number_column(self.categories, np.int64, json_category, "category")
+        sources = np.asarray(np.full(len(boxes), -1) if self.sources is None else self.sources, np.int64).reshape(-1)
+        columns = {"boxes": boxes, "scores": scores, "categories": categories, "sources": sources}
         for name, column in columns.items():
             if len(column) != len(boxes):
                 raise ValueError(f"{len(column)} {name} for {len(boxes)} boxes")
             object.__setattr__(self, name, column)
-        finite, (w, h), scores = np.isfinite(boxes).all(axis=1), boxes[:, 2:].T, self.scores
+        finite, (w, h) = np.isfinite(boxes).all(axis=1), boxes[:, 2:].T
         bad = np.flatnonzero(~(finite & (w > 0) & (h > 0) & (scores >= 0.0) & (scores <= 1.0)))
-        if bad.size:
-            r = bad[0]
-            if not finite[r]:
-                raise ValueError(f"detection row {r}: bbox values must be finite")
-            if not (w[r] > 0 and h[r] > 0):
-                raise ValueError(f"detection row {r}: box dimensions must be positive, got {w[r]}x{h[r]}")
-            raise ValueError(f"detection row {r}: score {scores[r]} is outside [0, 1]")
+        r = min([*box_faults, *score_faults, *category_faults, *bad[:1].tolist()], default=-1)
+        if r >= 0:
+            fault = (
+                box_faults.get(r)
+                or (not finite[r] and "bbox values must be finite")
+                or (not (w[r] > 0 and h[r] > 0) and f"box dimensions must be positive, got {w[r]}x{h[r]}")
+                or score_faults.get(r)
+                or (not 0.0 <= scores[r] <= 1.0 and f"score {scores[r]} is outside [0, 1]")
+                or category_faults[r]
+            )
+            raise ValueError(f"detection row {r}: {fault}")
 
     @classmethod
     def of(cls, dets) -> "Detections":
         """dets when it is a Detections, else the columns of a sequence of
-        Detection objects (a missing source reads -1), whose categories
-        pass json_category with a ValueError that names the row."""
+        Detection objects (a missing source reads -1)."""
         if isinstance(dets, Detections):
             return dets
         dets = list(dets)
-        categories = [json_category(d.category, f"detection row {i}: category") for i, d in enumerate(dets)]
-        scores, sources = [d.score for d in dets], [getattr(d, "source", -1) for d in dets]
-        return cls(box_array(dets), scores, categories, sources)
+        scores, categories = (
+            np.fromiter((getattr(d, f) for d in dets), object, len(dets)) for f in ("score", "category")
+        )
+        return cls(box_array(dets), scores, categories, [getattr(d, "source", -1) for d in dets])
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.boxes, self.scores, self.categories, self.sources
@@ -428,6 +448,22 @@ def row_columns(parsed: list[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.array(boxes, np.float64).reshape(-1, 4), np.array(scores, np.float64), np.array(categories, np.int64)
 
 
+def _clipped_entry(seen: set[int], ann_id: int, x: float, y: float, w: float, h: float, extent, path):
+    """load_scene's rules for an entry's id, which joins seen, and box: a
+    duplicate id or a box entirely outside the scene raises ValueError. The
+    box clipped into the scene if it crosses an edge, else None: clipping
+    can move the width by an ulp, so a box inside is kept as read."""
+    if ann_id in seen:
+        raise ValueError(f"duplicate annotation id {ann_id} in {path}")
+    seen.add(ann_id)
+    if x >= 0.0 and y >= 0.0 and x + w <= extent.width and y + h <= extent.height:
+        return None
+    box = BoundingBox(x, y, w, h).clip(extent)
+    if box is None:
+        raise ValueError(f"annotation {ann_id} lies entirely outside the scene")
+    return box
+
+
 def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
     """Read the annotation interchange JSON.
 
@@ -444,22 +480,12 @@ def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed annotation document {path}: {exc}") from exc
 
-    annotations: list[Annotation] = []
-    seen: set[int] = set()
+    annotations, seen = [], set()
     for index, entry in enumerate(raw):
         try:
             ann_id = json_int(entry["id"], "id")
-            if ann_id in seen:
-                raise ValueError(f"duplicate annotation id {ann_id} in {path}")
-            seen.add(ann_id)
             x, y, w, h = (v if type(v) is float else json_float(v, "bbox value") for v in entry["bbox"])
-            box = BoundingBox(x, y, w, h)
-            # Clipping recomputes the width as (x + w) - x, which can move it
-            # by an ulp; only a box that crosses an edge pays that.
-            if not (x >= 0.0 and y >= 0.0 and box.right <= extent.width and box.bottom <= extent.height):
-                box = box.clip(extent)
-                if box is None:
-                    raise ValueError(f"annotation {ann_id} lies entirely outside the scene")
+            box = _clipped_entry(seen, ann_id, x, y, w, h, extent, path) or BoundingBox(x, y, w, h)
             annotations.append(Annotation(ann_id, box, json_category(entry.get("category", 0))))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"annotation entry {index}: {exc!s}") from exc
@@ -471,19 +497,20 @@ def save_scene(path: str | Path, annotations: list[Annotation], extent: SceneExt
 
     The bytes are those of json.dump(doc, indent=1) plus a newline; the
     fixed layout is written directly rather than through the pure-Python
-    indenting encoder. The scene size, ids, box values and categories pass
-    load_scene's rules (json_int, json_float, json_category) before the
-    file is opened; an annotation that fails raises ValueError naming its
-    index. A box value is written as a float, but an int keeps json.dump's
-    spelling (BoundingBox bounds ints to float range).
+    indenting encoder. What load_scene rejects (by json_int or
+    json_category, a duplicate id, a box entirely outside the scene)
+    raises its ValueError, naming the annotation's index, before the file
+    is opened. A box value is written as a float, but an int keeps
+    json.dump's spelling (BoundingBox bounds values to float range).
     """
     size = (json_int(extent.width, "width"), json_int(extent.height, "height"))
-    rows = []
+    rows, seen = [], set()
     for index, a in enumerate(annotations):
-        b = a.bbox
         try:
-            box = [v if type(v) is int else json_float(v, "bbox value") for v in (b.x, b.y, b.width, b.height)]
-            values = (json_int(a.id, "id"), *box, json_category(a.category))
+            ann_id = json_int(a.id, "id")
+            box = [v if type(v) is int else float(v) for v in (a.bbox.x, a.bbox.y, a.bbox.width, a.bbox.height)]
+            _clipped_entry(seen, ann_id, *[float(v) for v in box], extent, path)  # the floats load_scene reads
+            values = (ann_id, *box, json_category(a.category))
         except ValueError as exc:
             raise ValueError(f"annotation entry {index}: {exc!s}") from exc
         rows.append(

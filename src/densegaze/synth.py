@@ -44,9 +44,6 @@ _CROWD_BAND = (0.05, 0.84)
 # neighboring views, and ground truth must stay resolvable after that.
 _MAX_PAIR_IOU = 0.35
 _MAX_PLACEMENT_ATTEMPTS = 1000
-# Boxes spanning more buckets than this along an axis bypass the placement
-# grid (see _Placer).
-_WIDE_SPAN = 4
 
 
 class InfeasibleSceneError(Exception):
@@ -135,52 +132,35 @@ def _giant_ladder(spec: SceneSpec) -> list[float]:
 class _Placer:
     """Rejection-samples box positions under the pairwise overlap cap.
 
-    Placed boxes are registered in a uniform grid of square buckets, and
-    a candidate is checked only against the boxes in the buckets it
-    touches, stopping at the first violation. Bucket indices floor(v /
-    cell) are monotonic in v, so two boxes that overlap with positive
-    width and height always share a bucket; every box the candidate
-    misses is one it cannot overlap, which the cap accepts trivially.
-    A box spanning more than _WIDE_SPAN buckets along an axis skips the
-    grid: placed, it joins a short list every candidate checks; as a
-    candidate, it is checked against every placed box in one vectorized
-    pass. The sampling spread widens every 25 failed attempts so dense
-    clusters spill outward instead of deadlocking.
+    Each placed box is registered in every bucket of a uniform square grid
+    that it touches, and a candidate is checked only against the boxes in
+    its own buckets, stopping at the first violation. Bucket indices
+    floor(v / cell) are monotonic in v, so two boxes that overlap with
+    positive width and height share a bucket whatever their spans; a box
+    the candidate misses cannot overlap it. The sampling spread widens
+    every 25 failed attempts so dense clusters spill outward instead of
+    deadlocking.
     """
 
-    def __init__(self, rng: np.random.Generator, extent: SceneExtent, capacity: int, cell: float):
+    def __init__(self, rng: np.random.Generator, extent: SceneExtent, cell: float):
         self.rng = rng
         self.extent = extent
         self.cell = cell
-        self.boxes = np.empty((capacity, 4), dtype=np.float64)
-        self.count = 0
         # Per box: x, y, right, bottom, area, computed once as the check uses them.
         self.buckets: dict[tuple[int, int], list[tuple[float, ...]]] = {}
-        self.wide: list[tuple[float, ...]] = []
 
-    def _bucket_keys(self, x: float, y: float, right: float, bottom: float) -> list[tuple[int, int]] | None:
-        """The buckets [x, right] x [y, bottom] touches; None when it spans
-        more than _WIDE_SPAN along an axis."""
+    def _bucket_keys(self, x: float, y: float, right: float, bottom: float) -> list[tuple[int, int]]:
+        """The buckets [x, right] x [y, bottom] touches."""
         c = self.cell
         i0, i1 = math.floor(x / c), math.floor(right / c)
         j0, j1 = math.floor(y / c), math.floor(bottom / c)
-        if i1 - i0 >= _WIDE_SPAN or j1 - j0 >= _WIDE_SPAN:
-            return None
         return [(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
 
     def _clears_overlap_cap(self, x: float, y: float, w: float, h: float) -> bool:
-        right, bottom = x + w, y + h
-        keys = self._bucket_keys(x, y, right, bottom)
-        if keys is None:
-            b = self.boxes[: self.count]
-            iw = np.minimum(right, b[:, 0] + b[:, 2]) - np.maximum(x, b[:, 0])
-            ih = np.minimum(bottom, b[:, 1] + b[:, 3]) - np.maximum(y, b[:, 1])
-            inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-            return bool(np.all(inter <= _MAX_PAIR_IOU * (w * h + b[:, 2] * b[:, 3] - inter)))
-        area = w * h
+        right, bottom, area = x + w, y + h, w * h
         get = self.buckets.get
-        for group in [self.wide] + [get(k, ()) for k in keys]:
-            for bx, by, bright, bbottom, barea in group:
+        for k in self._bucket_keys(x, y, right, bottom):
+            for bx, by, bright, bbottom, barea in get(k, ()):
                 # min() and max() spelled inline: same values, no calls.
                 iw = (right if right < bright else bright) - (x if x > bx else bx)
                 if iw <= 0:
@@ -194,15 +174,8 @@ class _Placer:
         return True
 
     def _add(self, x: float, y: float, w: float, h: float) -> None:
-        self.boxes[self.count] = (x, y, w, h)
-        self.count += 1
-        right, bottom = x + w, y + h
-        entry = (x, y, right, bottom, w * h)
-        keys = self._bucket_keys(x, y, right, bottom)
-        if keys is None:
-            self.wide.append(entry)
-            return
-        for k in keys:
+        entry = (x, y, x + w, y + h, w * h)
+        for k in self._bucket_keys(*entry[:4]):
             self.buckets.setdefault(k, []).append(entry)
 
     def place(
@@ -283,9 +256,8 @@ def generate_scene(spec: SceneSpec) -> tuple[list[Annotation], SceneExtent]:
             f"best achievable is {total_area / extent.area:.3f}"
         )
 
-    # Buckets of half the crowd's nominal top side: a crowd box spans at
-    # most four along an axis, a giant more.
-    placer = _Placer(rng, extent, spec.object_count, crowd_max / 2.0)
+    # Buckets of half the crowd's nominal top side: a crowd box spans at most four per axis.
+    placer = _Placer(rng, extent, crowd_max / 2.0)
     annotations: list[Annotation] = []
     spread_x = _CLUSTER_SPREAD_X * w_px
     spread_y = _CLUSTER_SPREAD_Y * h_px

@@ -43,6 +43,27 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(0, math.inf, 1, 1)
 
+    @pytest.mark.parametrize("field", ["x", "y", "width", "height"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "must be a number, got True"),
+            (np.bool_(False), "must be a number, got np.False_"),
+            ("1", "must be a number, got '1'"),
+            (None, "must be a number, got None"),
+            (10**400, f"{10**400} is outside float range"),
+        ],
+        ids=["True", "np.False_", "str", "None", "10**400"],
+    )
+    def test_refuses_what_json_float_refuses(self, field, value, message):
+        values = {"x": 1, "y": 2, "width": 3, "height": 4, field: value}
+        with pytest.raises(ValueError, match=f"^BoundingBox.{field} {re.escape(message)}$"):
+            BoundingBox(**values)
+
+    def test_keeps_values_as_given(self):
+        box = BoundingBox(1, np.float32(0.5), 2**60, 4.0)
+        assert [type(v) for v in (box.x, box.y, box.width, box.height)] == [int, np.float32, int, float]
+
     def test_clip_inside_is_identity(self):
         box = BoundingBox(10, 20, 30, 40)
         assert box.clip(SceneExtent(100, 100)) == box
@@ -162,8 +183,72 @@ class TestDetections:
             self.batch(**columns)
 
     def test_category_outside_int64_is_rejected(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match=r"^detection row 1: category 9223372036854775808 is outside int64$"):
             self.batch(categories=[0, 2**63])
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ({"categories": [3, 2.5]}, "1: category must be an integer, got 2.5"),
+            ({"categories": [2.5, True]}, "0: category must be an integer, got 2.5"),
+            ({"categories": np.array([3, True], dtype=object)}, "1: category must be an integer, got True"),
+            ({"categories": np.array([3, 2**64 - 1], dtype=np.uint64)},
+             "1: category 18446744073709551615 is outside int64"),
+            ({"scores": [True, False]}, "0: score must be a number, got True"),
+            ({"scores": np.array([0.5, None], dtype=object)}, "1: score must be a number, got None"),
+            ({"scores": ["0.5", "1"]}, "0: score must be a number, got '0.5'"),
+            ({"boxes": [[1, 2, 3, 4], ["1", "2", "3", "4"]]}, "1: bbox value must be a number, got '1'"),
+            ({"boxes": [[1, 2, 3, 4], [1, "2", 3, 4]]}, "1: bbox value must be a number, got '2'"),
+            ({"boxes": np.ones((2, 4), dtype=bool)}, "0: bbox value must be a number, got True"),
+            ({"boxes": [[1, 2, 3, 4], [1, 2, 3, 10**400]]}, f"1: bbox value {10**400} is outside float range"),
+        ],
+        ids=["2.5", "2.5-then-True", "object-True", "uint64", "bool-scores", "object-None", "str-scores",
+             "str-boxes", "mixed-box", "bool-boxes", "10**400"],
+    )
+    def test_refuses_what_a_detections_file_refuses(self, columns, message):
+        with pytest.raises(ValueError, match=f"^detection row {re.escape(message)}$"):
+            self.batch(**columns)
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ({"boxes": [[1, 2, 3, 4], [1, 2, 0, 4]], "scores": np.array([0.5, True], dtype=object),
+              "categories": [0, 2.5]}, "1: box dimensions must be positive, got 0.0x4.0"),
+            ({"boxes": [[1, 2, 3, 4], [1, 2, "3", 4]], "scores": [0.5, 1.5]},
+             "1: bbox value must be a number, got '3'"),
+            ({"scores": np.array([0.5, True], dtype=object), "categories": [0, 2.5]},
+             "1: score must be a number, got True"),
+            ({"scores": [0.5, 1.5], "categories": [0, 2.5]}, "1: score 1.5 is outside [0, 1]"),
+            ({"scores": [1.5, 0.5], "categories": [0, 2.5]}, "0: score 1.5 is outside [0, 1]"),
+            ({"scores": [0.5, 1.5], "categories": [2.5, 0]}, "0: category must be an integer, got 2.5"),
+        ],
+        ids=["box-size-first", "box-value-first", "score-type-first", "score-range-first", "row-0-score",
+             "row-0-category"],
+    )
+    def test_names_the_first_fault_in_row_order(self, columns, message):
+        # Rows in order; within a row: box, then score, then category.
+        with pytest.raises(ValueError, match=f"^detection row {re.escape(message)}$"):
+            self.batch(**columns)
+
+    def test_of_names_the_first_failing_row(self):
+        box = BoundingBox(1, 2, 3, 4)
+        with pytest.raises(ValueError, match=r"^detection row 0: score 1\.5 is outside \[0, 1\]$"):
+            Detections.of([Detection(box, 1.5), Detection(box, 0.5, 2.5)])
+        with pytest.raises(ValueError, match=r"^detection row 1: score must be a number, got True$"):
+            Detections.of([Detection(box, 0.5), Detection(box, True)])
+
+    def test_numeric_columns_cost_a_dtype_test(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(core, "json_float", lambda v, what: checked.append(v))
+        monkeypatch.setattr(core, "json_category", lambda v, what: checked.append(v))
+        Detections(np.ones((3, 4)), np.ones(3), np.zeros(3, np.int64))
+        Detections([[1, 2, 3, 4]], [1], [2])
+        Detections(np.ones((1, 4), np.float32), np.ones(1, np.uint8), np.zeros(1, np.uint32))
+        assert checked == []
+
+    def test_empty_columns_of_any_dtype(self):
+        empty = Detections(np.array([], dtype="U1"), np.array([], dtype=bool), np.array([], dtype=object))
+        assert empty == Detections([], [], [])
 
 
 class TestIou:
@@ -376,7 +461,7 @@ class TestSceneIo:
             Annotation(7, BoundingBox(1, 2, 3, 4)),
             Annotation(-3, BoundingBox(-0.0, 1e16, 5e-324, 0.1)),
         ]
-        cases = (default_scene, noisy_crowd[:2], ([], SceneExtent(10, 20)), (odd, SceneExtent(5, 5)))
+        cases = (default_scene, noisy_crowd[:2], ([], SceneExtent(10, 20)), (odd, SceneExtent(5, 2 * 10**16)))
         for annotations, extent in cases:
             save_scene(tmp_path / "new.json", annotations, extent)
             reference_save_scene(tmp_path / "ref.json", annotations, extent)
@@ -390,9 +475,8 @@ class TestSceneIo:
             ("category", True, "category must be an integer, got True"),
             ("category", 2.5, "category must be an integer, got 2.5"),
             ("category", 2**70, "category 1180591620717411303424 is outside int64"),
-            ("bbox", BoundingBox(True, 2, 3, 4), "bbox value must be a number, got True"),
         ],
-        ids=["id-True", "id-2.5", "category-True", "category-2.5", "category-2**70", "bbox-True"],
+        ids=["id-True", "id-2.5", "category-True", "category-2.5", "category-2**70"],
     )
     def test_refuses_what_load_scene_rejects(self, tmp_path, field, value, message):
         bad = Annotation(**{"id": 1, "bbox": BoundingBox(1, 2, 3, 4), "category": 0, field: value})
@@ -402,6 +486,47 @@ class TestSceneIo:
         with pytest.raises(ValueError, match=re.escape(f"annotation entry 1: {message}")):
             save_scene(path, annotations, SceneExtent(10, 10))
         assert path.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [Annotation(0, BoundingBox(5, 5, 1, 1)), Annotation(1, BoundingBox(50, 60, 3, 4)),
+         Annotation(1, BoundingBox(-3, 2, 3, 4)), Annotation(1, BoundingBox(10, 9.5, 1, 1))],
+        ids=["duplicate-id", "far-outside", "touches-left-edge", "touches-right-edge"],
+    )
+    def test_refuses_an_entry_load_scene_rejects(self, tmp_path, bad):
+        annotations, extent = [Annotation(0, BoundingBox(1, 2, 3, 4)), bad], SceneExtent(10, 10)
+        path = tmp_path / "scene.json"
+        reference_save_scene(path, annotations, extent)
+        with pytest.raises(ValueError, match="^annotation entry 1: ") as read_error:
+            load_scene(path)
+        path.write_text("kept\n")
+        with pytest.raises(ValueError) as write_error:
+            save_scene(path, annotations, extent)
+        assert str(write_error.value) == str(read_error.value)
+        assert path.read_text() == "kept\n"
+
+    @given(
+        st.lists(
+            st.tuples(*[st.sampled_from([-3.0, -1.0, -0.0, 0.0, 5e-324, 1.0, 9.0, 9.5, 10.0, 11.0, 1e16])] * 2,
+                      *[st.sampled_from([5e-324, 0.5, 1.0, 2.0, 10.0, 1e16])] * 2),
+            max_size=4,
+        )
+    )
+    def test_writes_a_box_exactly_when_load_scene_takes_it(self, tmp_path_factory, boxes):
+        # Edge-touching, edge-crossing and far boxes, some with widths that vanish in x + w.
+        annotations, extent = [Annotation(i, BoundingBox(*b)) for i, b in enumerate(boxes)], SceneExtent(10, 10)
+        path = tmp_path_factory.mktemp("scenes") / "scene.json"
+        reference_save_scene(path, annotations, extent)
+        try:
+            loaded = load_scene(path)
+        except ValueError as exc:
+            loaded = str(exc)
+        try:
+            save_scene(path, annotations, extent)
+        except ValueError as exc:
+            assert str(exc) == loaded
+        else:
+            assert load_scene(path) == loaded
 
     def test_numpy_values_are_written_as_json_numbers(self, tmp_path):
         annotations = [Annotation(np.int64(5), BoundingBox(np.float64(1.5), 2, np.float32(0.5), 4), np.int64(3))]

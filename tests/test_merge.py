@@ -387,6 +387,18 @@ class TestDetectionsIo:
         assert str(write_error.value) == str(read_error.value)
         assert path.read_text() == "kept\n"
 
+    @pytest.mark.parametrize(
+        "rows", [[(1.5, 0), (0.5, 2.5)], [(0.5, 0), (True, 0)]], ids=["score-then-category", "True-score"]
+    )
+    def test_names_the_row_its_reader_names(self, tmp_path, rows):
+        dets = [det(1, 2, 3, 4, score, category) for score, category in rows]
+        reference_write(tmp_path / "ref.json", dets)
+        with pytest.raises(ValueError) as read_error:
+            read_detections(tmp_path / "ref.json")
+        with pytest.raises(ValueError) as write_error:
+            write_detections(tmp_path / "dets.json", dets)
+        assert str(write_error.value) == str(read_error.value)
+
     @pytest.mark.parametrize("category", [2**70, 2.5, True], ids=["2**70", "2.5", "True"])
     def test_refuses_a_category_its_reader_rejects(self, tmp_path, category):
         dets = [det(1, 2, 3, 4, 0.5), det(5, 5, 5, 5, 0.5, category)]

@@ -19,7 +19,6 @@ from densegaze.config import ConfigError
 from densegaze.synth import (
     DEFAULT_EXTENT,
     _MAX_PAIR_IOU,
-    _WIDE_SPAN,
     InfeasibleSceneError,
     SceneSpec,
     _Placer,
@@ -165,17 +164,18 @@ EXTENT = DEFAULT_EXTENT
 def placement_cases(draw):
     """Placed boxes and candidates in a 600 px window at the scene origin
     or its far corner (coordinates near 2.6e4). Coordinates and sides
-    often fall on bucket boundaries; sides reach past the wide-span
-    limit; candidates are often shifted copies of placed boxes, so they
-    exactly touch (iw == 0 or ih == 0), coincide or partly overlap."""
+    often fall on bucket boundaries; sides reach 26 buckets, past the
+    about 21 that the tallest stock giant spans; candidates are often
+    shifted copies of placed boxes, so they exactly touch (iw == 0 or
+    ih == 0), coincide or partly overlap."""
     base = draw(st.sampled_from([0.0, EXTENT.width - 600.0]))
     coord = st.one_of(
         st.integers(0, 60).map(lambda k: base + k * CELL / 4),
         st.floats(base, base + 600.0, allow_nan=False, allow_infinity=False),
     )
     side = st.one_of(
-        st.integers(1, 4 * (_WIDE_SPAN + 2)).map(lambda k: k * CELL / 4),
-        st.floats(0.5, (_WIDE_SPAN + 2) * CELL, allow_nan=False, allow_infinity=False),
+        st.integers(1, 4 * 26).map(lambda k: k * CELL / 4),
+        st.floats(0.5, 26 * CELL, allow_nan=False, allow_infinity=False),
     )
     box = st.tuples(coord, coord, side, side)
     placed = draw(st.lists(box, max_size=30))
@@ -200,7 +200,7 @@ class TestPlacer:
     @given(case=placement_cases())
     def test_bucketed_check_equals_all_pairs(self, case):
         placed, candidates = case
-        placer = _Placer(np.random.default_rng(0), EXTENT, len(placed), CELL)
+        placer = _Placer(np.random.default_rng(0), EXTENT, CELL)
         boxes = np.empty((0, 4))
         for b in placed:
             placer._add(*b)
@@ -209,15 +209,13 @@ class TestPlacer:
             assert placer._clears_overlap_cap(*c) == reference_clears(boxes, *c)
 
     def test_wide_boxes_are_checked_both_ways(self):
-        wide = (0.0, 0.0, 10.0, (_WIDE_SPAN + 1) * CELL)
+        wide = (0.0, 0.0, 10.0, 5 * CELL)  # spans 6 buckets
         narrow = (0.0, 40.0, 10.0, 100.0)  # IoU 0.5 with wide
-        placer = _Placer(np.random.default_rng(0), EXTENT, 2, CELL)
+        placer = _Placer(np.random.default_rng(0), EXTENT, CELL)
         placer._add(*wide)
-        assert placer.wide and not placer.buckets
         assert not placer._clears_overlap_cap(*narrow)
-        placer = _Placer(np.random.default_rng(0), EXTENT, 2, CELL)
+        placer = _Placer(np.random.default_rng(0), EXTENT, CELL)
         placer._add(*narrow)
-        assert not placer.wide and placer.buckets
         assert not placer._clears_overlap_cap(*wide)
 
     # sha256 of save_scene output, pinned so that any change to the draw
