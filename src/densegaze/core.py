@@ -14,6 +14,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -169,33 +170,34 @@ class Detection:
 PatchDetection = GlobalDetection = Detection
 
 
-def _number_column(values, dtype, rule, what, width=1) -> tuple[np.ndarray, dict[int, str]]:
-    """values as an (n, width) dtype array ((n,) at width 1), and by row the
-    message of the first element rule(v, what) refuses: only a non-empty
-    column of bool or unsafe dtype is checked, a list as the objects it holds."""
-    a, shape = np.asarray(values), (-1, width) if width > 1 else -1
-    if a.size == 0 or a.dtype.kind != "b" and np.can_cast(a.dtype, dtype):
-        return np.asarray(a, dtype=dtype).reshape(shape), {}
-    kept, faults = [], {}
-    for i, v in enumerate(np.asarray(values, dtype=object).ravel().tolist()):
+def _column(values, dtype, shape=(-1,)) -> np.ndarray | list:
+    """values as a dtype array of the given shape if it is a plain column: an
+    ndarray of a non-bool dtype that casts safely to dtype, or a list (of
+    rows, for boxes) of only ints, and floats unless dtype is int64, that
+    converts to that shape without overflow. Else the list of what it holds."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind != "b" and np.can_cast(values.dtype, dtype):
+            return values.astype(dtype, copy=False).reshape(shape)
+        return values.tolist()
+    plain = {int} if dtype is np.int64 else {int, float}
+    if set(map(type, chain.from_iterable(values) if len(shape) > 1 else values)) <= plain:
         try:
-            kept.append(rule(v, what))
-        except ValueError as exc:
-            kept.append(0)
-            faults.setdefault(i // width, str(exc))
-    return np.array(kept, dtype=dtype).reshape(shape), faults
+            return np.asarray(values, dtype).reshape(shape)
+        except (OverflowError, ValueError):
+            pass
+    return list(values)
 
 
 @dataclass(frozen=True, eq=False)
 class Detections:
     """Scored boxes as columns: (n, 4) float64 x, y, width, height, float64
     scores, and int64 categories and sources (-1 when unknown); its rows
-    are Detection objects. Each row meets detection_row's rules and has a
-    positive size; the check runs once per batch (a numeric column costs a
-    dtype test), and its ValueError names the first failing row and its
-    first fault: box, then score, then category. A list column is read as
-    np.asarray reads it, so a bool among numbers is a number; Detections.of
-    hands on scores and categories as the objects given."""
+    are Detection objects. Every row meets detection_row's rules, checked
+    once per batch; the ValueError names the first failing row and gives
+    detection_row's message for it. A batch of plain columns (_column)
+    costs a dtype or type test and one array screen, and only the first row
+    the screen flags meets detection_row; any other batch, such as one with
+    a bool in a list, meets detection_row row by row."""
 
     boxes: np.ndarray
     scores: np.ndarray
@@ -203,28 +205,28 @@ class Detections:
     sources: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        boxes, box_faults = _number_column(self.boxes, np.float64, json_float, "bbox value", 4)
-        scores, score_faults = _number_column(self.scores, np.float64, json_float, "score")
-        categories, category_faults = _number_column(self.categories, np.int64, json_category, "category")
-        sources = np.asarray(np.full(len(boxes), -1) if self.sources is None else self.sources, np.int64).reshape(-1)
-        columns = {"boxes": boxes, "scores": scores, "categories": categories, "sources": sources}
-        for name, column in columns.items():
-            if len(column) != len(boxes):
-                raise ValueError(f"{len(column)} {name} for {len(boxes)} boxes")
+        columns = [_column(self.boxes, np.float64, (-1, 4)), _column(self.scores, np.float64),
+                   _column(self.categories, np.int64)]
+        n = len(columns[0])
+        sources = np.asarray(np.full(n, -1) if self.sources is None else self.sources, np.int64).reshape(-1)
+        for name, column in zip(("scores", "categories", "sources"), (*columns[1:], sources)):
+            if len(column) != n:
+                raise ValueError(f"{len(column)} {name} for {n} boxes")
+        rows = range(n)
+        if all(isinstance(c, np.ndarray) for c in columns):
+            boxes, scores, _ = columns
+            w, h = boxes[:, 2:].T
+            screen = np.isfinite(boxes).all(axis=1) & (w > 0) & (h > 0) & (scores >= 0.0) & (scores <= 1.0)
+            rows = np.flatnonzero(~screen)[:1].tolist()
+        for r in rows:
+            try:
+                detection_row(*(c[r] for c in columns))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"detection row {r}: {exc}") from exc
+        boxes, scores, categories = (np.asarray(c, t) for c, t in zip(columns, (np.float64, np.float64, np.int64)))
+        named = {"boxes": boxes.reshape(-1, 4), "scores": scores, "categories": categories, "sources": sources}
+        for name, column in named.items():
             object.__setattr__(self, name, column)
-        finite, (w, h) = np.isfinite(boxes).all(axis=1), boxes[:, 2:].T
-        bad = np.flatnonzero(~(finite & (w > 0) & (h > 0) & (scores >= 0.0) & (scores <= 1.0)))
-        r = min([*box_faults, *score_faults, *category_faults, *bad[:1].tolist()], default=-1)
-        if r >= 0:
-            fault = (
-                box_faults.get(r)
-                or (not finite[r] and "bbox values must be finite")
-                or (not (w[r] > 0 and h[r] > 0) and f"box dimensions must be positive, got {w[r]}x{h[r]}")
-                or score_faults.get(r)
-                or (not 0.0 <= scores[r] <= 1.0 and f"score {scores[r]} is outside [0, 1]")
-                or category_faults[r]
-            )
-            raise ValueError(f"detection row {r}: {fault}")
 
     @classmethod
     def of(cls, dets) -> "Detections":
@@ -233,9 +235,7 @@ class Detections:
         if isinstance(dets, Detections):
             return dets
         dets = list(dets)
-        scores, categories = (
-            np.fromiter((getattr(d, f) for d in dets), object, len(dets)) for f in ("score", "category")
-        )
+        scores, categories = [d.score for d in dets], [d.category for d in dets]
         return cls(box_array(dets), scores, categories, [getattr(d, "source", -1) for d in dets])
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -428,24 +428,20 @@ def json_category(v, what: str = "category") -> int:
     return category
 
 
-def detection_row(row) -> tuple[tuple[float, float, float, float], float, int]:
-    """The (x, y, w, h) box, score and category of one detection row: four
-    finite json_float bbox values, a json_float score in [0, 1], a
-    json_category (default 0). A missing field raises KeyError, a
-    malformed one TypeError or ValueError."""
-    x, y, w, h = (v if type(v) is float else json_float(v, "bbox value") for v in row["bbox"])
+def detection_row(box, score, category=0, sized: bool = True) -> None:
+    """Check one detection row in this order: four json_float box values,
+    all finite, a positive width and height (unless sized is False), a
+    json_float score in [0, 1], a json_category. The first fault raises
+    ValueError (TypeError or ValueError if box does not unpack to four)."""
+    x, y, w, h = (json_float(v, "bbox value") for v in box)
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
         raise ValueError("bbox values must be finite")
-    score = json_float(row["score"], "score")
+    if sized and not (w > 0 and h > 0):
+        raise ValueError(f"box dimensions must be positive, got {w}x{h}")
+    score = json_float(score, "score")
     if not 0.0 <= score <= 1.0:  # also rejects NaN
         raise ValueError(f"score {score} is outside [0, 1]")
-    return (x, y, w, h), score, json_category(row.get("category", 0))
-
-
-def row_columns(parsed: list[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (n, 4) boxes, scores and categories of detection_row results."""
-    boxes, scores, categories = zip(*parsed) if parsed else ((), (), ())
-    return np.array(boxes, np.float64).reshape(-1, 4), np.array(scores, np.float64), np.array(categories, np.int64)
+    json_category(category)
 
 
 def _clipped_entry(seen: set[int], ann_id: int, x: float, y: float, w: float, h: float, extent, path):

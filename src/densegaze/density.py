@@ -81,8 +81,8 @@ class DensityMap:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.size == 0:
             raise ValueError(f"density map must be a non-empty 2-D grid, got shape {self.values.shape}")
-        if self.downsample < 1:
-            raise ValueError(f"downsample must be >= 1, got {self.downsample}")
+        if not 1 <= self.downsample < math.inf:
+            raise ValueError(f"downsample must be finite and >= 1, got {self.downsample}")
         # Two reductions cover both checks: a NaN makes the min NaN, and an
         # infinity of either sign is the min or the max.
         lo, hi = float(self.values.min()), float(self.values.max())
@@ -193,8 +193,8 @@ def render_gt_density(
     cell receives its contributions in annotation order, so the maps do
     not depend on how annotations are batched.
     """
-    if downsample < 1:
-        raise ValueError(f"downsample must be >= 1, got {downsample}")
+    if not 1 <= downsample < math.inf:
+        raise ValueError(f"downsample must be finite and >= 1, got {downsample}")
     map_w = int(math.ceil(extent.width / downsample))
     map_h = int(math.ceil(extent.height / downsample))
     planes = [np.zeros((map_h, map_w), dtype=np.float64) for _ in ScaleLevel]
@@ -288,15 +288,22 @@ def write_dmap(dset: DensityMapSet, path: str | Path) -> None:
     """Write a map set as a DMAP file.
 
     Planes are stored as little-endian float32 in TINY..LARGE order;
-    values outside float32 precision are rounded on write.
+    values outside float32 precision are rounded on write. A plane with a
+    value that rounds to a float32 infinity, which read_dmap would reject,
+    raises ValueError naming its scale before the file is opened.
     """
+    with np.errstate(over="ignore"):
+        planes = [np.ascontiguousarray(dset[scale].values, dtype="<f4") for scale in ScaleLevel]
+    for scale, plane in zip(ScaleLevel, planes):
+        if not np.isfinite(plane).all():
+            raise ValueError(f"{scale.label} density map has values beyond float32 range")
     header = _DMAP_HEADER.pack(
         DMAP_MAGIC, DMAP_VERSION, DMAP_PLANES, dset.width, dset.height, dset.downsample
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for scale in ScaleLevel:
-            fh.write(np.ascontiguousarray(dset[scale].values, dtype="<f4").tobytes())
+        for plane in planes:
+            fh.write(plane.tobytes())
 
 
 def read_dmap(path: str | Path) -> DensityMapSet:

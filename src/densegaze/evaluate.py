@@ -142,9 +142,8 @@ def match_detections(
 
 
 def _interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
-    """101-point interpolated AP from cumulative recall/precision points."""
-    if recalls.size == 0:
-        return 0.0
+    """101-point interpolated AP from cumulative recall/precision points
+    (at least one)."""
     # Precision envelope: best precision achievable at or beyond each recall.
     envelope = np.maximum.accumulate(precisions[::-1])[::-1]
     idx = np.searchsorted(recalls, _RECALL_SAMPLES, side="left")

@@ -32,7 +32,6 @@ import numpy as np
 
 from .core import (
     Annotation, Detections, PatchDetection, SceneExtent, box_array, clip_corners, detection_row, json_int, json_list,
-    row_columns,
 )
 from .saccade import DEFAULT_EXPANSION, Patch, patch_manifest
 
@@ -202,7 +201,7 @@ class NoisyDetector(DetectorAdapter):
             y = float(rng.uniform(0.0, max(fh - h, 1.0)))
             rows.append((x, y, min(w, fw - x), min(h, fh - y), float(rng.uniform(0.05, 0.6)), 0))
         columns = np.array(rows, dtype=np.float64).reshape(-1, 6)
-        return Detections(columns[:, :4], columns[:, 4], [row[5] for row in rows])
+        return Detections(columns[:, :4], columns[:, 4], np.array([row[5] for row in rows], dtype=np.int64))
 
 
 @dataclass
@@ -324,10 +323,10 @@ class ExternalCommandDetector(DetectorAdapter):
     command as `cmd <manifest.json> <detections_out.json>`, and reads the
     detections back; a command that runs longer than EXEC_TIMEOUT_S is
     killed. A manifest row is a patch_manifest row plus "patch_id", "zoom"
-    and "standard_size"; the command must write a JSON list of detection
-    rows (core.detection_row, boxes in the normalized frame) plus
-    "patch_id". Boxes left with no positive size by the content clip drop;
-    each patch's Detections keeps the rest in row order.
+    and "standard_size"; the command writes a JSON list of detection rows
+    plus "patch_id" (boxes in the normalized frame), held to
+    core.detection_row's rules but the size rule: a box the content clip
+    leaves with no positive size drops; each patch keeps the rest in order.
     """
 
     def __init__(self, command: list[str]):
@@ -371,19 +370,20 @@ class ExternalCommandDetector(DetectorAdapter):
             except ValueError as exc:
                 raise AdapterError(str(exc)) from exc
 
-        pids, parsed = [], []  # per row, in row order
+        pids = []  # per row, in row order
         for index, row in enumerate(rows):
             try:
                 pid = json_int(row["patch_id"], "patch_id")
-                parsed.append(detection_row(row))
+                detection_row(row["bbox"], row["score"], row.get("category", 0), sized=False)
             except (KeyError, TypeError, ValueError) as exc:
                 raise AdapterError(f"malformed detection row {index} {row!r}: {exc}") from exc
             if not 0 <= pid < len(normalized):
                 raise AdapterError(f"detection references unknown patch_id {pid}")
             pids.append(pid)
-        box, scores, categories = row_columns(parsed)
+        x, y, w, h = np.asarray([row["bbox"] for row in rows], np.float64).reshape(-1, 4).T
+        scores = np.asarray([row["score"] for row in rows], np.float64)
+        categories = np.asarray([row.get("category", 0) for row in rows], np.int64)
         content = np.array([(n.content_width, n.content_height) for n in normalized])[pids]
-        x, y, w, h = box.T
         with np.errstate(over="ignore"):  # a finite x + w may round to inf, which the clip bounds
             boxes, keep = clip_corners(x, y, x + w, y + h, content[:, 0], content[:, 1])
         kept, pids = Detections(boxes, scores[keep], categories[keep]), np.array(pids, dtype=np.int64)[keep]

@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    BoundingBox, Detections, GlobalDetection, PatchDetection, SceneExtent, clip_corners, detection_row, json_list,
-    overlap_pairs, row_columns,
+    BoundingBox, Detections, GlobalDetection, PatchDetection, SceneExtent, clip_corners, json_list, overlap_pairs,
 )
 from .gaze import GazeResult, NormalizedPatch
 
@@ -140,15 +139,20 @@ def write_detections(path: str | Path, dets: Detections | list[GlobalDetection])
 def read_detections(path: str | Path) -> Detections:
     """Read a detections JSON written by write_detections (or compatible).
 
-    Every row must pass core.detection_row and have a positive size; a
-    row that does not raises ValueError naming its index.
+    Each row's bbox, score and category (default 0) go to Detections as
+    read, which checks them once. A missing field or a bbox that is not
+    four values raises ValueError naming its row, after earlier rows pass.
     """
     with open(path, "r", encoding="utf-8") as fh:
         rows = json_list(json.load(fh), f"detections file {path}")
-    parsed = []
+    boxes, scores, categories = [], [], []
     for index, row in enumerate(rows):
         try:
-            parsed.append(detection_row(row))
+            x, y, w, h = row["bbox"]
+            scores.append(row["score"])
         except (KeyError, TypeError, ValueError) as exc:
+            Detections(boxes, scores, categories)  # an earlier row's fault is named first
             raise ValueError(f"detection row {index}: {exc!s}") from exc
-    return Detections(*row_columns(parsed))
+        boxes.append((x, y, w, h))
+        categories.append(row.get("category", 0))
+    return Detections(boxes, scores, categories)

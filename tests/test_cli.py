@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from densegaze import synth
 from densegaze.cli import main
 from densegaze.core import load_scene
 from densegaze.density import read_dmap
@@ -52,6 +53,11 @@ class TestSynthCommand:
         # Five objects cannot cover five percent of the stock scene.
         out = tmp_path / "x.json"
         assert run_cli("synth", "--out", out, "--objects", 5) == 2
+
+    def test_unplaceable_box_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(synth, "_MAX_PLACEMENT_ATTEMPTS", 0)
+        assert run_cli("synth", "--out", tmp_path / "x.json", "--objects", 60) == 2
+        assert "error: could not place a " in capsys.readouterr().err
 
     def test_spec_file_with_flag_overrides(self, tmp_path):
         spec = tmp_path / "scene.spec"
@@ -236,6 +242,16 @@ class TestRunCommand:
         assert code == 0
         assert json.loads(out.read_text()) == []
 
+
+    def test_exec_run_selecting_no_patch_starts_no_command(self, tmp_path):
+        scene, started = tmp_path / "empty.json", tmp_path / "started"
+        run_cli("synth", "--out", scene, "--objects", 0)
+        script = tmp_path / "detector.py"
+        script.write_text(f"open({str(started)!r}, 'w').close()\n")
+        out = tmp_path / "dets.json"
+        code = run_cli("run", "--annotations", scene, "--adapter", f"exec:{sys.executable} {script}", "--out", out)
+        assert code == 0 and json.loads(out.read_text()) == []
+        assert not started.exists()
 
     def test_an_exec_box_lifted_to_no_size_is_dropped(self, scene_file, tmp_path):
         # Patch 0 is a tiny cell about 1958 px wide, so at this standard

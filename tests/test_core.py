@@ -230,6 +230,31 @@ class TestDetections:
         with pytest.raises(ValueError, match=f"^detection row {re.escape(message)}$"):
             self.batch(**columns)
 
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ({"categories": [3, True]}, "1: category must be an integer, got True"),
+            ({"scores": [0.5, True]}, "1: score must be a number, got True"),
+            ({"boxes": [[1, 2, 3, 4], [1, True, 3, 4]]}, "1: bbox value must be a number, got True"),
+        ],
+        ids=["category", "score", "box-value"],
+    )
+    def test_a_bool_among_numbers_in_a_list_is_not_a_number(self, columns, message):
+        with pytest.raises(ValueError, match=f"^detection row {re.escape(message)}$"):
+            self.batch(**columns)
+
+    @pytest.mark.parametrize(
+        "boxes, message",
+        [
+            ([[1, 2, 3, 4], [1, 2, 3]], "1: not enough values to unpack (expected 4, got 3)"),
+            ([[1, 2, 3], [1, 2, 3]], "0: not enough values to unpack (expected 4, got 3)"),
+        ],
+        ids=["ragged", "three-wide"],
+    )
+    def test_a_box_row_of_other_than_four_values_is_named(self, boxes, message):
+        with pytest.raises(ValueError, match=f"^detection row {re.escape(message)}$"):
+            self.batch(boxes=boxes)
+
     def test_of_names_the_first_failing_row(self):
         box = BoundingBox(1, 2, 3, 4)
         with pytest.raises(ValueError, match=r"^detection row 0: score 1\.5 is outside \[0, 1\]$"):

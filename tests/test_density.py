@@ -183,6 +183,11 @@ class TestRender:
             assert dset[scale].total_mass() == 0.0
         assert dset.width == 128 and dset.height == 128
 
+    @pytest.mark.parametrize("downsample", [0.5, math.inf, math.nan])
+    def test_rejects_a_bad_downsample(self, downsample):
+        with pytest.raises(ValueError, match=r"^downsample must be finite and >= 1, got "):
+            render_gt_density([ann(2000, 2000, 90, 30)], EXTENT, downsample)
+
     def test_single_box_unit_mass(self):
         # 90x30 box well inside: all mass lands on the tiny map.
         dset = render_gt_density([ann(2000, 2000, 90, 30)], EXTENT)
@@ -383,6 +388,11 @@ class TestScaleAwareLoss:
             alphas[idx] = 7.5
             assert scale_aware_loss(pred, gt, tuple(alphas)) == pytest.approx(7.5 * base, rel=1e-12)
 
+    def test_rejects_a_wrong_alpha_count(self):
+        dset = render_gt_density([ann(2000, 2000, 90, 30)], EXTENT)
+        with pytest.raises(ValueError, match="^expected 4 alpha weights, got 3$"):
+            scale_aware_loss(dset, dset, (1.0, 1.0, 1.0))
+
     def test_geometry_mismatch(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError, match="geometry"):
@@ -509,6 +519,26 @@ class TestDmapFormat:
         with pytest.raises(DmapDimensionError):
             read_dmap(path)
 
+    @pytest.mark.parametrize("downsample", [0.5, math.inf, math.nan])
+    def test_invalid_downsample_rejected(self, tmp_path, downsample):
+        rng = np.random.default_rng(10)
+        path = tmp_path / "maps.dmap"
+        write_dmap(self._f32_set(rng), path)
+        blob = bytearray(path.read_bytes())
+        blob[20:28] = struct.pack("<d", downsample)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DmapDimensionError, match="invalid downsample"):
+            read_dmap(path)
+
+    def test_write_refuses_a_plane_beyond_float32(self, tmp_path):
+        values = [np.zeros((2, 2)) for _ in ScaleLevel]
+        values[ScaleLevel.SMALL][1, 0] = 1e39
+        dset = DensityMapSet(maps=tuple(DensityMap(values=v, downsample=32.0) for v in values))
+        path = tmp_path / "maps.dmap"
+        with pytest.raises(ValueError, match="^small density map has values beyond float32 range$"):
+            write_dmap(dset, path)
+        assert not path.exists()
+
     def test_negative_values_rejected(self, tmp_path):
         rng = np.random.default_rng(10)
         path = tmp_path / "maps.dmap"
@@ -558,6 +588,16 @@ class TestDensityMapInvariants:
     def test_rejects_bad_downsample(self):
         with pytest.raises(ValueError):
             DensityMap(values=np.ones((2, 2)), downsample=0.5)
+
+    @pytest.mark.parametrize("downsample", [math.inf, math.nan])
+    def test_rejects_a_non_finite_downsample(self, downsample):
+        with pytest.raises(ValueError, match=r"^downsample must be finite and >= 1, got (inf|nan)$"):
+            DensityMap(values=np.ones((2, 2)), downsample=downsample)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4,)])
+    def test_rejects_an_empty_grid(self, shape):
+        with pytest.raises(ValueError, match="^density map must be a non-empty 2-D grid"):
+            DensityMap(values=np.ones(shape), downsample=32.0)
 
     def test_set_requires_matching_geometry(self):
         a = DensityMap(values=np.zeros((4, 4)), downsample=32.0)

@@ -253,6 +253,11 @@ class TestSizeBuckets:
         assert report.middle.ap == 1.0 and report.middle.gt_count == 1
         assert report.large.ap == 1.0 and report.large.gt_count == 1
 
+    def test_ap50_is_the_overall_ap(self):
+        gts = self._mixed_scene()
+        report = evaluate_detections([det(0, 0, 50, 50, 1.0)], gts)
+        assert report.ap50 == report.overall.ap > 0.0
+
     def test_bucket_matched_counts_sum_to_overall(self, default_run, default_scene):
         annotations, _ = default_scene
         report = evaluate_detections(default_run.detections, annotations)
@@ -293,6 +298,10 @@ class TestSlidingWindow:
     def test_grid_16_gives_256_patches(self):
         patches = sliding_window_patches(SceneExtent(26368, 14976), 16)
         assert len(patches) == 256
+
+    def test_rejects_a_grid_below_one(self):
+        with pytest.raises(ValueError, match="^grid must be >= 1, got 0$"):
+            sliding_window_patches(SceneExtent(1000, 1000), 0)
 
     def test_grid_8_gives_64_patches(self):
         patches = sliding_window_patches(SceneExtent(26368, 14976), 8)

@@ -553,6 +553,11 @@ class TestExternalCommandDetector:
         with pytest.raises(AdapterError, match="invalid JSON"):
             adapter.detect_batch([normalize(make_patch(0, 0, 1000, 1000), (1000, 1000))])
 
+    def test_no_detections_file(self, tmp_path):
+        adapter = ExternalCommandDetector(self._write_script(tmp_path, "pass"))
+        with pytest.raises(AdapterError, match="^external detector wrote no detections file$"):
+            adapter.detect_batch([normalize(make_patch(0, 0, 1000, 1000), (1000, 1000))])
+
     def test_unknown_patch_id(self, tmp_path):
         body = textwrap.dedent(
             """

@@ -1,5 +1,8 @@
 import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from densegaze.config import PipelineConfig
 from densegaze.core import Annotation, BoundingBox, Detection, Detections, ScaleLevel, SceneExtent, iou
 from densegaze.density import render_gt_density
 from densegaze.gaze import (
+    AdapterError,
+    ExternalCommandDetector,
     GazeResult,
     NoisyDetector,
     OracleDetector,
@@ -489,8 +494,105 @@ class TestDetectionsIo:
         with pytest.raises(ValueError, match=f"^detection row 2: .*{re.escape(message)}"):
             read_detections(path)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([{"bbox": [0, 0, 0, 5], "score": 0.5}, {"bbox": [0, 0, 1, 1], "score": 1.5}],
+             "0: box dimensions must be positive, got 0.0x5.0"),
+            ([{"bbox": [0, 0, 0, 5], "score": 0.5}, {"score": 0.5}],
+             "0: box dimensions must be positive, got 0.0x5.0"),
+            ([{"bbox": [0, 0, 1, 1], "score": True}, {"bbox": [0, 0, 1], "score": 0.5}],
+             "0: score must be a number, got True"),
+        ],
+        ids=["size-then-score", "size-then-missing-bbox", "score-then-short-bbox"],
+    )
+    def test_an_earlier_value_fault_is_named_first(self, tmp_path, rows, message):
+        with pytest.raises(ValueError, match=f"^detection row {re.escape(message)}$"):
+            read_detections(self._write(tmp_path, rows))
+
     def test_accepts_score_bounds(self, tmp_path):
         path = self._write(
             tmp_path, [{"bbox": [0, 0, 1, 1], "score": 0.0}, {"bbox": [0, 0, 1, 1], "score": 1}]
         )
         assert [d.score for d in read_detections(path)] == [0.0, 1.0]
+
+
+# Faults a detection row can carry, one at a time: where it goes (a box
+# index, "score" or "category") and the values that carry it.
+ROW_FAULTS = {
+    "box value": ((0, 1, 2, 3), (True, "1", None, 10**400)),
+    "finite": ((0, 1, 2, 3), (math.nan, math.inf, -math.inf)),
+    "size": ((2, 3), (0, 0.0, -0.0, -1.5)),
+    "score value": (("score",), (True, False, "0.5")),
+    "score range": (("score",), (math.nan, -0.1, 1.5, math.inf)),
+    "category": (("category",), (2.5, True, 2**63)),
+}
+
+
+@st.composite
+def fault_rows(draw):
+    """One to six (bbox, score, category, size_only) rows, each good or
+    carrying one fault of ROW_FAULTS; good values mix ints and floats."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = {
+            "bbox": [draw(st.one_of(st.integers(-50, 50), st.floats(-50, 50))) for _ in range(2)]
+            + [draw(st.one_of(st.integers(1, 50), st.floats(0.25, 50))) for _ in range(2)],
+            "score": draw(st.one_of(st.sampled_from([0, 1]), st.floats(0, 1))),
+            "category": draw(st.integers(-(2**63), 2**63 - 1)),
+        }
+        fault = draw(st.sampled_from([None, *ROW_FAULTS]))
+        if fault is not None:
+            places, values = ROW_FAULTS[fault]
+            place, value = draw(st.sampled_from(places)), draw(st.sampled_from(values))
+            if place in row:
+                row[place] = value
+            else:
+                row["bbox"][place] = value
+        rows.append((row["bbox"], row["score"], row["category"], fault == "size"))
+    return rows
+
+
+def _outcome(make):
+    """(make(), None), or (None, the message) when it raises ValueError."""
+    try:
+        return make(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+class TestOneRowRule:
+    EXEC_PATCH = normalize(Patch(ScaleLevel.TINY, 0, 0, BoundingBox(0, 0, 100, 100), 1.0), (100, 100))
+
+    @settings(max_examples=60, deadline=None)
+    @given(fault_rows())
+    def test_columns_files_and_exec_rows_name_the_same_fault(self, rows):
+        batch, message = _outcome(lambda: Detections(*([r[k] for r in rows] for k in range(3))))
+        # The exec clip drops a row whose only fault is its size.
+        good_box = [1.0, 2.0, 3.0, 4.0]
+        _, exec_expected = _outcome(
+            lambda: Detections([good_box if r[3] else r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dets.json"
+            path.write_text(json.dumps([{"bbox": b, "score": s, "category": c} for b, s, c, _ in rows]))
+            read, read_message = _outcome(lambda: read_detections(path))
+            assert read_message == message
+            assert read == batch
+            answer = Path(tmp) / "answer.json"
+            answer.write_text(
+                json.dumps([{"patch_id": 0, "bbox": b, "score": s, "category": c} for b, s, c, _ in rows])
+            )
+            # sh -c gets the answer file as $0, then the manifest and output paths.
+            adapter = ExternalCommandDetector(["sh", "-c", 'cat "$0" > "$2"', str(answer)])
+            try:
+                adapter.detect_batch([self.EXEC_PATCH])
+                exec_message = None
+            except AdapterError as exc:
+                exec_message = str(exc)
+        if exec_expected is None:
+            assert exec_message is None
+        else:
+            index, fault = exec_expected.removeprefix("detection row ").split(": ", 1)
+            assert exec_message.startswith(f"malformed detection row {index} {{")
+            assert exec_message.endswith(f": {fault}")

@@ -273,6 +273,10 @@ class TestSelectPatches:
         with pytest.raises(ValueError):
             select_patches(cells, 0.2, 0.9, self.EXTENT)
 
+    def test_needs_the_scene_extent(self):
+        with pytest.raises(ValueError, match="^patch selection requires the scene extent for clipping$"):
+            select_patches(self._cells([0.5] * 16), 0.2, 1.2)
+
 
 class TestSaccade:
     def test_all_zero_set(self):
@@ -368,6 +372,11 @@ class TestSaccade:
         row = manifest[0]
         assert set(row) == {"scale", "cell", "region", "density"}
         assert row["scale"] in {"tiny", "small", "middle", "large"}
+
+    @pytest.mark.parametrize("cells", [(0, 4), (4, 0)])
+    def test_grid_needs_a_cell(self, cells):
+        with pytest.raises(ValueError, match="^grid must have at least one cell"):
+            GridSpec(ScaleLevel.TINY, *cells)
 
     def test_grid_defaults(self):
         grids = default_grids()
