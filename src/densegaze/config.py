@@ -22,6 +22,8 @@ from .saccade import (
     DEFAULT_EXPANSION,
     DEFAULT_GRID_CELLS,
     GridSpec,
+    check_expansion,
+    check_threshold,
     default_grids,
 )
 
@@ -48,10 +50,8 @@ class PipelineConfig:
             raise ConfigError(f"boundaries must be three finite increasing thresholds, got {b}")
         if len(self.grids) != 4 or any(g < 1 for g in self.grids):
             raise ConfigError(f"grids must be four counts >= 1, got {self.grids}")
-        if not 0 <= self.threshold < math.inf:
-            raise ConfigError(f"threshold must be finite and >= 0, got {self.threshold}")
-        if not 1 <= self.expansion < math.inf:
-            raise ConfigError(f"expansion must be finite and >= 1, got {self.expansion}")
+        check_threshold(self.threshold)
+        check_expansion(self.expansion)
         if not 0 < self.nms_iou <= 1:
             raise ConfigError(f"nms_iou must be in (0, 1], got {self.nms_iou}")
         if self.standard_size is not None and any(v < 2 for v in self.standard_size):

@@ -137,9 +137,9 @@ class SceneExtent:
 
 def box_array(items) -> np.ndarray:
     """The (n, 4) float64 x, y, width, height of every item's .bbox."""
-    return np.array(
-        [(b.x, b.y, b.width, b.height) for b in (item.bbox for item in items)], dtype=np.float64
-    ).reshape(-1, 4)
+    # One pass with no per-item tuples: the array is all this allocates.
+    values = chain.from_iterable((b.x, b.y, b.width, b.height) for b in (item.bbox for item in items))
+    return np.fromiter(values, dtype=np.float64, count=4 * len(items)).reshape(-1, 4)
 
 
 def clip_corners(x0, y0, x1, y1, width, height) -> tuple[np.ndarray, np.ndarray]:

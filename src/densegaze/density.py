@@ -18,7 +18,9 @@ apply_count_scale / invert_count_scale at the boundary.
 from __future__ import annotations
 
 import math
+import mmap
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,6 +144,11 @@ def _sigma_pixels(side):
     return np.maximum(side // 3, 1.0)
 
 
+def _sigma_cells(side: np.ndarray, downsample: float) -> np.ndarray:
+    """sigma_for in map cells, clamped to one cell so a blob spans a few cells."""
+    return np.maximum(_sigma_pixels(side) / downsample, 1.0)
+
+
 def sigma_for(box: BoundingBox) -> int:
     """Kernel width in original-image pixels: longest side over three.
 
@@ -178,6 +185,81 @@ def _radii(sigma: np.ndarray) -> np.ndarray:
 # about this many cells, so at most one chunk's kernels exist at a time.
 _CHUNK_CELLS = 1 << 15
 
+# madvise(2) advice that maps a range to the kernel's shared zero page up
+# front (Linux >= 5.14); the mmap module does not name it.
+_MADV_POPULATE_READ = 22
+
+
+def _zero_planes(shape: tuple[int, int, int]) -> np.ndarray:
+    """A float64 array of zeros whose pages take memory only once written.
+
+    The block is a private anonymous mapping, unmapped when its last view
+    dies. On Linux it is kept off huge pages, so a stamp makes resident only
+    the pages it writes, and mapped to the shared zero page up front, so
+    reading a page no stamp wrote neither faults nor counts as resident.
+    Where the operating system refuses the advice, the bytes are the same
+    and reads fault later; where there is no private mapping, np.zeros
+    serves.
+    """
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros(shape)
+    try:
+        block = mmap.mmap(-1, math.prod(shape) * 8, flags=mmap.MAP_PRIVATE)
+    except (OverflowError, OSError):
+        return np.zeros(shape)  # raises numpy's own error for a size no mapping holds
+    if sys.platform == "linux":
+        for advice in (mmap.MADV_NOHUGEPAGE, _MADV_POPULATE_READ):
+            try:
+                block.madvise(advice)
+            except OSError:
+                pass
+    return np.frombuffer(block, dtype=np.float64).reshape(shape)
+
+
+def _stamp_columns(annotations, extent, downsample, boundaries):
+    """Every stamp's center in map cells, longest side and radius, (cx, cy,
+    side, radius), once the annotations and boundaries pass the checks a
+    render one annotation at a time would make, in its order. The box
+    columns die on return; only these four outlive the chunk loop."""
+    x, y, w, h = box_array(annotations).T
+    cx, cy = x + w / 2.0, y + h / 2.0
+    outside = np.flatnonzero(
+        ~((0.0 <= cx) & (cx <= extent.width) & (0.0 <= cy) & (cy <= extent.height))
+    )
+    first_outside = int(outside[0]) if outside.size else len(annotations)
+    if first_outside > 0:
+        scale_bucket(annotations[0].bbox, boundaries)  # rejects non-increasing boundaries
+    if first_outside < len(annotations):
+        ann = annotations[first_outside]
+        bx, by = ann.bbox.center
+        raise ValueError(f"annotation {ann.id} center ({bx:.1f}, {by:.1f}) lies outside the scene")
+    side = np.maximum(w, h)
+    return cx / downsample, cy / downsample, side, _radii(_sigma_cells(side, downsample))
+
+
+def _stamp_chunk(planes, bucket, cx, cy, sigma, radius) -> None:
+    """Add one chunk of stamps to the planes of their buckets, in order:
+    centers and clamped sigmas in map cells, radii from _radii."""
+    map_h, map_w = planes[0].shape
+    # Clip each support window to the raster: [x0, x1) x [y0, y1) in map
+    # cells, and the window's offset into its kernel.
+    left, top = np.floor(cx).astype(np.int64) - radius, np.floor(cy).astype(np.int64) - radius
+    span = 2 * radius + 1
+    x0, y0 = np.maximum(left, 0), np.maximum(top, 0)
+    x1, y1 = np.minimum(left + span, map_w), np.minimum(top + span, map_h)
+    windows = np.stack([x0, x1, y0, y1, x0 - left, x1 - left, y0 - top, y1 - top], axis=1).tolist()
+
+    order = np.argsort(radius, kind="stable")
+    cuts = np.flatnonzero(np.diff(radius[order])) + 1
+    kernels: list = [None] * len(order)
+    for group in np.split(order, cuts):
+        batch = _kernels(cx[group], cy[group], sigma[group], int(radius[group[0]]))
+        for i, kernel in zip(group.tolist(), batch):
+            kernels[i] = kernel
+    for b, kernel, (ax0, ax1, ay0, ay1, kx0, kx1, ky0, ky1) in zip(bucket, kernels, windows):
+        if ax0 < ax1 and ay0 < ay1:
+            planes[b][ay0:ay1, ax0:ax1] += kernel[ky0:ky1, kx0:kx1]
+
 
 def render_gt_density(
     annotations: list[Annotation],
@@ -191,55 +273,31 @@ def render_gt_density(
     bucket; an annotation whose center lies outside the scene is rejected.
     Kernels are evaluated in batches that share a radius, and every map
     cell receives its contributions in annotation order, so the maps do
-    not depend on how annotations are batched.
+    not depend on how annotations are batched. The four maps are views of
+    one _zero_planes block, so cells no stamp reaches take no memory; each
+    chunk's buckets, sigmas, kernels and windows exist only while it is
+    stamped.
     """
     if not 1 <= downsample < math.inf:
         raise ValueError(f"downsample must be finite and >= 1, got {downsample}")
     map_w = int(math.ceil(extent.width / downsample))
     map_h = int(math.ceil(extent.height / downsample))
-    planes = [np.zeros((map_h, map_w), dtype=np.float64) for _ in ScaleLevel]
+    planes = list(_zero_planes((len(ScaleLevel), map_h, map_w)))
+    cx, cy, side, radius = _stamp_columns(annotations, extent, downsample, boundaries)
 
-    x, y, w, h = box_array(annotations).T
-    cx, cy = x + w / 2.0, y + h / 2.0
-    outside = np.flatnonzero(
-        ~((0.0 <= cx) & (cx <= extent.width) & (0.0 <= cy) & (cy <= extent.height))
-    )
-    first_outside = int(outside[0]) if outside.size else len(annotations)
-    if first_outside > 0:
-        scale_bucket(annotations[0].bbox, boundaries)  # rejects non-increasing boundaries
-    if first_outside < len(annotations):
-        ann = annotations[first_outside]
-        bx, by = ann.bbox.center
-        raise ValueError(f"annotation {ann.id} center ({bx:.1f}, {by:.1f}) lies outside the scene")
-
-    side = np.maximum(w, h)
-    bucket = np.searchsorted(np.asarray(boundaries, dtype=np.float64), side, side="right").tolist()
-    # sigma_for in map cells, clamped to one cell so a blob spans a few cells.
-    sigma = np.maximum(_sigma_pixels(side) / downsample, 1.0)
-    radius = _radii(sigma)
-    cx, cy = cx / downsample, cy / downsample
-    # Clip each support window to the raster: [x0, x1) x [y0, y1) in map
-    # cells, and the window's offset into its kernel.
-    left, top = np.floor(cx).astype(np.int64) - radius, np.floor(cy).astype(np.int64) - radius
-    span = 2 * radius + 1
-    x0, y0 = np.maximum(left, 0), np.maximum(top, 0)
-    x1, y1 = np.minimum(left + span, map_w), np.minimum(top + span, map_h)
-    windows = np.stack([x0, x1, y0, y1, x0 - left, x1 - left, y0 - top, y1 - top], axis=1).tolist()
-
-    chunk_of = (np.cumsum(span * span) - span * span) // _CHUNK_CELLS
+    edges = np.asarray(boundaries, dtype=np.float64)
+    cells = (2 * radius + 1) ** 2
+    chunk_of = (np.cumsum(cells) - cells) // _CHUNK_CELLS
     starts = np.flatnonzero(np.diff(chunk_of, prepend=-1)).tolist() + [len(annotations)]
     for lo, hi in zip(starts[:-1], starts[1:]):
-        order = lo + np.argsort(radius[lo:hi], kind="stable")
-        cuts = np.flatnonzero(np.diff(radius[order])) + 1
-        kernels: list = [None] * (hi - lo)
-        for group in np.split(order, cuts):
-            batch = _kernels(cx[group], cy[group], sigma[group], int(radius[group[0]]))
-            for i, kernel in zip(group.tolist(), batch):
-                kernels[i - lo] = kernel
-        for i in range(lo, hi):
-            ax0, ax1, ay0, ay1, kx0, kx1, ky0, ky1 = windows[i]
-            if ax0 < ax1 and ay0 < ay1:
-                planes[bucket[i]][ay0:ay1, ax0:ax1] += kernels[i - lo][ky0:ky1, kx0:kx1]
+        _stamp_chunk(
+            planes,
+            np.searchsorted(edges, side[lo:hi], side="right").tolist(),
+            cx[lo:hi],
+            cy[lo:hi],
+            _sigma_cells(side[lo:hi], downsample),
+            radius[lo:hi],
+        )
 
     return DensityMapSet(
         maps=tuple(DensityMap(values=p, downsample=float(downsample)) for p in planes)

@@ -18,7 +18,15 @@ from .core import Annotation, Detections, ScaleLevel, SceneExtent
 from .density import DensityMapSet, render_gt_density
 from .gaze import DetectorAdapter, GazeResult, run_gaze
 from .merge import DEFAULT_NMS_IOU, merge_run
-from .saccade import DEFAULT_EXPANSION, Patch, _axis_bounds, _cell_region, expand_and_clip, saccade
+from .saccade import (
+    DEFAULT_EXPANSION,
+    Patch,
+    _axis_bounds,
+    _cell_region,
+    check_expansion,
+    expand_and_clip,
+    saccade,
+)
 
 
 @dataclass
@@ -137,6 +145,7 @@ def sliding_window_patches(extent: SceneExtent, grid: int, expansion: float = DE
     saccade patches for parity; no density selection."""
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
+    check_expansion(expansion)
     xs, ys = _axis_bounds(extent.width, grid), _axis_bounds(extent.height, grid)
     patches = []
     for iy in range(grid):

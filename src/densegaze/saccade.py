@@ -8,6 +8,7 @@ neighbors overlap and objects on cell borders stay whole.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -184,11 +185,22 @@ def expand_and_clip(region: BoundingBox, expansion: float, extent: SceneExtent) 
     return BoundingBox(x0, y0, x1 - x0, y1 - y0)
 
 
+def check_threshold(threshold: float) -> None:
+    """The density threshold rule, for selection and PipelineConfig alike."""
+    # Chained comparisons are False for NaN, and "< math.inf" rejects infinity.
+    if not 0 <= threshold < math.inf:
+        raise ConfigError(f"threshold must be finite and >= 0, got {threshold}")
+
+
+def check_expansion(expansion: float) -> None:
+    """The patch growth rule, for selection, sliding windows and PipelineConfig."""
+    if not 1 <= expansion < math.inf:
+        raise ConfigError(f"expansion must be finite and >= 1, got {expansion}")
+
+
 def _check_selection(threshold: float, expansion: float, extent: SceneExtent | None) -> None:
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    if expansion < 1:
-        raise ValueError(f"expansion must be >= 1, got {expansion}")
+    check_threshold(threshold)
+    check_expansion(expansion)
     if extent is None:
         raise ValueError("patch selection requires the scene extent for clipping")
 

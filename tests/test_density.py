@@ -1,6 +1,11 @@
+import errno
 import math
+import mmap
 import re
 import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -25,6 +30,7 @@ from densegaze.density import (
     sigma_for,
     write_dmap,
 )
+from densegaze.synth import SceneSpec, generate_scene
 
 EXTENT = SceneExtent(4096, 4096)
 
@@ -298,16 +304,83 @@ class TestRender:
         assert render_gt_density([], EXTENT, boundaries=bad).width == 128
 
     def test_peak_memory_is_the_planes_plus_one_chunk(self, default_scene):
+        # The planes are a mapping that tracemalloc does not see, so the
+        # traced peak is the render's own working memory: one chunk's
+        # kernels and windows, and a few columns per annotation.
+        rung_5k = generate_scene(
+            SceneSpec(object_count=5000, foreground_fraction_target=0.10, size_gradient=(16.0, 3264.0))
+        )
+        for annotations, extent in (default_scene, rung_5k):
+            render_gt_density(annotations, extent)
+            tracemalloc.start()
+            try:
+                render_gt_density(annotations, extent)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5e6
+
+    def test_renders_share_no_memory(self, default_scene):
         annotations, extent = default_scene
-        render_gt_density(annotations, extent)
-        tracemalloc.start()
-        try:
-            dset = render_gt_density(annotations, extent)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        planes = sum(dset[s].values.nbytes for s in ScaleLevel)
-        assert peak - planes < 1.5e6
+        first, second = render_gt_density(annotations, extent), render_gt_density(annotations, extent)
+        expected = [second[scale].values.tobytes() for scale in ScaleLevel]
+        for scale in ScaleLevel:
+            assert not np.shares_memory(first[scale].values, second[scale].values)
+            first[scale].values += 1.0
+        assert [second[scale].values.tobytes() for scale in ScaleLevel] == expected
+        del first
+        fresh = render_gt_density(annotations, extent)
+        assert [fresh[scale].values.tobytes() for scale in ScaleLevel] == expected
+
+    @pytest.mark.parametrize("platform", ["advice refused", "no private mapping"])
+    def test_every_allocation_path_renders_like_reference(self, default_scene, monkeypatch, platform):
+        if platform == "advice refused":
+
+            class RefusingMap(mmap.mmap):
+                def madvise(self, *args):
+                    raise OSError(errno.EINVAL, "advice refused")
+
+            monkeypatch.setattr(mmap, "mmap", RefusingMap)
+        else:
+            monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
+        assert assert_renders_like_reference(*default_scene)
+
+    def test_an_impossible_raster_fails_as_np_zeros_fails(self):
+        extent = SceneExtent(10**12, 10**12)
+        side = math.ceil(extent.width / 32.0)
+        with pytest.raises(ValueError) as expected:
+            np.zeros((len(ScaleLevel), side, side))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            render_gt_density([], extent)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="untouched pages stay unresident on Linux")
+    def test_whole_slide_memory_follows_the_stamps(self):
+        # A 100,000 x 80,000 scene: about 250 MB of planes, few of whose
+        # rows receive a stamp. The child's peak resident size may grow
+        # by the rows stamped and the saccade's working memory only. The
+        # peak is VmHWM, the child's own: ru_maxrss keeps this process's
+        # peak across the child's exec.
+        child = textwrap.dedent(
+            """
+            from densegaze.config import PipelineConfig
+            from densegaze.pipeline import select
+            from densegaze.synth import build_scene_spec, generate_scene
+
+            def peak_kb():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+            spec = {"width": 100000, "height": 80000, "object_count": 2000,
+                    "foreground_fraction_target": 0.01, "seed": 0}
+            annotations, extent = generate_scene(build_scene_spec(None, spec))
+            before = peak_kb()
+            select(annotations, extent, PipelineConfig())
+            print(peak_kb() - before)
+            """
+        )
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) / 1024 < 25.0
 
     def test_mass_conservation_away_from_borders(self):
         # Stamps at least 3 sigma from every border: mass equals count to 1%.

@@ -303,6 +303,11 @@ class TestSlidingWindow:
         with pytest.raises(ValueError, match="^grid must be >= 1, got 0$"):
             sliding_window_patches(SceneExtent(1000, 1000), 0)
 
+    @pytest.mark.parametrize("expansion", [math.nan, math.inf, 0.9])
+    def test_rejects_an_expansion_the_config_refuses(self, expansion):
+        with pytest.raises(ValueError, match=f"^expansion must be finite and >= 1, got {expansion}$"):
+            sliding_window_patches(SceneExtent(1000, 1000), 4, expansion)
+
     def test_grid_8_gives_64_patches(self):
         patches = sliding_window_patches(SceneExtent(26368, 14976), 8)
         assert len(patches) == 64

@@ -1,4 +1,5 @@
 import importlib
+import math
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densegaze.config import PipelineConfig
-from densegaze.core import Annotation, BoundingBox, ScaleLevel, SceneExtent
+from densegaze.config import PipelineConfig, build_config
+from densegaze.core import Annotation, BoundingBox, ConfigError, ScaleLevel, SceneExtent
 from densegaze.density import DensityMap, DensityMapSet, render_gt_density
 from densegaze.saccade import (
     CellDensity,
@@ -276,6 +277,32 @@ class TestSelectPatches:
     def test_needs_the_scene_extent(self):
         with pytest.raises(ValueError, match="^patch selection requires the scene extent for clipping$"):
             select_patches(self._cells([0.5] * 16), 0.2, 1.2)
+
+
+# Values PipelineConfig refuses, with its words; a NaN or infinite
+# threshold once selected nothing, and an infinite expansion the whole scene.
+BAD_SELECTION = [
+    ({"threshold": math.nan}, "^threshold must be finite and >= 0, got nan$"),
+    ({"threshold": math.inf}, "^threshold must be finite and >= 0, got inf$"),
+    ({"threshold": -0.1}, "^threshold must be finite and >= 0, got -0.1$"),
+    ({"expansion": math.nan}, "^expansion must be finite and >= 1, got nan$"),
+    ({"expansion": math.inf}, "^expansion must be finite and >= 1, got inf$"),
+    ({"expansion": 0.9}, "^expansion must be finite and >= 1, got 0.9$"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_SELECTION)
+def test_selection_refuses_what_the_config_refuses(small_scene, bad, message):
+    annotations, extent = small_scene
+    dset = render_gt_density(annotations, extent)
+    args = {"threshold": 0.2, "expansion": 1.2, **bad}
+    cells = grid_densities(dset[ScaleLevel.TINY], default_grids()[ScaleLevel.TINY], extent)
+    with pytest.raises(ConfigError, match=message):
+        build_config(overrides=bad)
+    with pytest.raises(ConfigError, match=message):
+        saccade(dset, extent=extent, **args)
+    with pytest.raises(ConfigError, match=message):
+        select_patches(cells, extent=extent, **args)
 
 
 class TestSaccade:
