@@ -9,6 +9,7 @@ original-image coordinates.
 from .config import ConfigError, PipelineConfig, build_config
 from .core import (
     Annotation,
+    Annotations,
     BoundingBox,
     Detection,
     Detections,

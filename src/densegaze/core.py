@@ -12,6 +12,7 @@ import math
 import numbers
 import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import chain
@@ -153,6 +154,39 @@ def clip_corners(x0, y0, x1, y1, width, height) -> tuple[np.ndarray, np.ndarray]
     w, h = x1 - x0, y1 - y0
     rows = np.flatnonzero(~((w <= 0) | (h <= 0)))
     return np.stack([x0, y0, w, h], axis=1)[rows], rows
+
+
+@dataclass(frozen=True, eq=False)
+class Annotations(Sequence):
+    """Ground truth as columns: (n, 4) float64 x, y, width, height, int64
+    categories and a list of int ids (an id need not fit int64). Its items
+    are Annotation objects, built when asked for; it equals a list or
+    tuple of equal Annotations."""
+
+    boxes: np.ndarray
+    categories: np.ndarray
+    ids: list
+
+    @classmethod
+    def of(cls, annotations) -> "Annotations":
+        """annotations when it is an Annotations, else the columns of a list of Annotation objects."""
+        if isinstance(annotations, Annotations):
+            return annotations
+        categories = np.array([a.category for a in annotations], dtype=np.int64)
+        return cls(box_array(annotations), categories, [a.id for a in annotations])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return map(Annotation, self.ids, (BoundingBox(*box) for box in self.boxes.tolist()), self.categories.tolist())
+
+    def __getitem__(self, index: int) -> Annotation:
+        r = range(len(self))[operator.index(index)]
+        return Annotation(self.ids[r], BoundingBox(*self.boxes[r].tolist()), self.categories[r].item())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (Annotations, list, tuple)) and list(self) == list(other)
 
 
 @dataclass(frozen=True)
@@ -325,11 +359,21 @@ def overlap_pairs(
     a_right, a_bottom, b_right, b_bottom = ax + aw, ay + ah, bx + bw, by + bh
     a_by_x, b_by_x = np.argsort(ax, kind="stable"), np.argsort(bx, kind="stable")
     b_x, a_x = bx[b_by_x], ax[a_by_x]
-    # The first range is closed at a.right so that equal boxes whose right
-    # rounds onto x still reach iou's a == b shortcut.
+    # IoU >= t gives I >= t * max(A, B) with I <= iw * min(ah, bh), so iw >=
+    # t * max(aw, bw): b starts within (1 - t) * aw of a.x, or a within
+    # (1 - t) * bw of b.x. A range closes there plus a margin far above the
+    # rounding of right, iw and IoU, but not past right, or at right for a
+    # side under 1e-145 (its area rounds in absolute terms). It still holds
+    # x, so equal boxes whose right rounds onto x reach the a == b shortcut.
+    slack = min(1.0, max(0.0, 1.0 - min_iou))
+
+    def reach(x, w, h, right):
+        window = np.minimum(x + slack * w + 1e-9 * (np.abs(x) + w), right)
+        return np.where(np.minimum(w, h) >= 1e-145, window, right)
+
     sweeps = (
-        (False, b_by_x, np.searchsorted(b_x, ax, "left"), np.searchsorted(b_x, a_right, "right")),
-        (True, a_by_x, np.searchsorted(a_x, bx, "right"), np.searchsorted(a_x, b_right, "right")),
+        (False, b_by_x, np.searchsorted(b_x, ax, "left"), np.searchsorted(b_x, reach(ax, aw, ah, a_right), "right")),
+        (True, a_by_x, np.searchsorted(a_x, bx, "right"), np.searchsorted(a_x, reach(bx, bw, bh, b_right), "right")),
     )
     parts_i, parts_j, parts_v = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     for swapped, by_x, lo, hi in sweeps:
@@ -460,12 +504,28 @@ def _clipped_entry(seen: set[int], ann_id: int, x: float, y: float, w: float, h:
     return box
 
 
-def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
+def _scene_row(seen: set[int], index: int, entry, extent: SceneExtent, path) -> Annotation:
+    """load_scene's rule for one entry: a json_int id, four json_float box
+    values, _clipped_entry, a json_category; the first fault raises
+    ValueError naming the entry."""
+    try:
+        ann_id = json_int(entry["id"], "id")
+        x, y, w, h = (v if type(v) is float else json_float(v, "bbox value") for v in entry["bbox"])
+        box = _clipped_entry(seen, ann_id, x, y, w, h, extent, path) or BoundingBox(x, y, w, h)
+        return Annotation(ann_id, box, json_category(entry.get("category", 0)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"annotation entry {index}: {exc!s}") from exc
+
+
+def load_scene(path: str | Path) -> tuple[Annotations, SceneExtent]:
     """Read the annotation interchange JSON.
 
     A box inside the scene is kept exactly as read; one that crosses an
     edge is clipped into the scene. An annotation entirely outside the
-    scene, a duplicate id, or a non-positive box is an error.
+    scene, a duplicate id, or a non-positive box is an error, raised by
+    _scene_row for the first faulty entry. A document of plain columns
+    (_column; ids of type int) costs one array screen, and only the first
+    entry it flags meets _scene_row; any other meets it entry by entry.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -476,16 +536,36 @@ def load_scene(path: str | Path) -> tuple[list[Annotation], SceneExtent]:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed annotation document {path}: {exc}") from exc
 
-    annotations, seen = [], set()
-    for index, entry in enumerate(raw):
-        try:
-            ann_id = json_int(entry["id"], "id")
-            x, y, w, h = (v if type(v) is float else json_float(v, "bbox value") for v in entry["bbox"])
-            box = _clipped_entry(seen, ann_id, x, y, w, h, extent, path) or BoundingBox(x, y, w, h)
-            annotations.append(Annotation(ann_id, box, json_category(entry.get("category", 0))))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"annotation entry {index}: {exc!s}") from exc
-    return annotations, extent
+    try:
+        ids = [entry["id"] for entry in raw]
+        boxes = _column([entry["bbox"] for entry in raw], np.float64, (-1, 4))
+        categories = _column([entry.get("category", 0) for entry in raw], np.int64)
+        columns = (boxes, categories)
+        plain = set(map(type, ids)) <= {int} and all(isinstance(c, np.ndarray) and len(c) == len(ids) for c in columns)
+    except (KeyError, TypeError):
+        plain = False
+    if not plain:
+        seen: set[int] = set()
+        return Annotations.of([_scene_row(seen, r, entry, extent, path) for r, entry in enumerate(raw)]), extent
+    # Python compares a float with an int exactly: test against the largest float at most the size.
+    width, height = (math.nextafter(f, 0.0) if f > n else f for n in (extent.width, extent.height) for f in [float(n)])
+    x, y, w, h = boxes.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        right, bottom = x + w, y + h
+        cross = np.flatnonzero(~((x >= 0.0) & (y >= 0.0) & (right <= width) & (bottom <= height)))
+        frame = float(extent.width), float(extent.height)
+        clipped, kept = clip_corners(x[cross], y[cross], right[cross], bottom[cross], *frame)
+    fault = ~(np.isfinite(boxes).all(axis=1) & (w > 0) & (h > 0))
+    outside = np.ones(len(cross), dtype=bool)
+    outside[kept] = False
+    fault[cross[outside]] = True
+    if len(set(ids)) < len(ids):
+        seen = set()
+        fault[next(r for r, v in enumerate(ids) if v in seen or seen.add(v))] = True
+    for r in np.flatnonzero(fault)[:1].tolist():
+        _scene_row(set(ids[:r]), r, raw[r], extent, path)
+    boxes[cross] = clipped
+    return Annotations(boxes, categories, ids), extent
 
 
 def save_scene(path: str | Path, annotations: list[Annotation], extent: SceneExtent) -> None:

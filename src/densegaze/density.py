@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_SCALE_BOUNDARIES, Annotation, BoundingBox, ScaleLevel, SceneExtent
-from .core import box_array, scale_bucket
+from .core import DEFAULT_SCALE_BOUNDARIES, Annotation, Annotations, BoundingBox, ScaleLevel, SceneExtent
+from .core import scale_bucket
 
 DEFAULT_DOWNSAMPLE = 32.0
 DEFAULT_ALPHAS = (0.01, 0.1, 10.0, 100.0)
@@ -185,21 +185,21 @@ def _radii(sigma: np.ndarray) -> np.ndarray:
 # about this many cells, so at most one chunk's kernels exist at a time.
 _CHUNK_CELLS = 1 << 15
 
-# madvise(2) advice that maps a range to the kernel's shared zero page up
-# front (Linux >= 5.14); the mmap module does not name it.
-_MADV_POPULATE_READ = 22
+# madvise(2) advice that maps a range to the kernel's shared zero page, or
+# to pages of its own, up front (Linux >= 5.14); the mmap module names neither.
+_MADV_POPULATE_READ, _MADV_POPULATE_WRITE = 22, 23
 
 
-def _zero_planes(shape: tuple[int, int, int]) -> np.ndarray:
+def _zero_planes(shape: tuple[int, int, int], pages) -> np.ndarray:
     """A float64 array of zeros whose pages take memory only once written.
 
     The block is a private anonymous mapping, unmapped when its last view
-    dies. On Linux it is kept off huge pages, so a stamp makes resident only
-    the pages it writes, and mapped to the shared zero page up front, so
-    reading a page no stamp wrote neither faults nor counts as resident.
-    Where the operating system refuses the advice, the bytes are the same
-    and reads fault later; where there is no private mapping, np.zeros
-    serves.
+    dies. On Linux it is kept off huge pages, each run of the pages named
+    in pages (arrays of page indices) is faulted in for writing by one
+    call, and the rest is mapped to the shared zero page, so reading a page
+    no stamp wrote neither faults nor counts as resident. Where the
+    operating system refuses advice, the bytes are the same and pages fault
+    later; where there is no private mapping, np.zeros serves.
     """
     if not hasattr(mmap, "MAP_PRIVATE"):
         return np.zeros(shape)
@@ -208,9 +208,14 @@ def _zero_planes(shape: tuple[int, int, int]) -> np.ndarray:
     except (OverflowError, OSError):
         return np.zeros(shape)  # raises numpy's own error for a size no mapping holds
     if sys.platform == "linux":
-        for advice in (mmap.MADV_NOHUGEPAGE, _MADV_POPULATE_READ):
+        written = np.zeros(-(-len(block) // mmap.PAGESIZE) + 1, dtype=bool)  # ends on an unwritten page
+        for p in pages:
+            written[p] = True
+        edges = (np.flatnonzero(np.diff(written, prepend=False)) * mmap.PAGESIZE).tolist()
+        runs = [(_MADV_POPULATE_WRITE, start, stop - start) for start, stop in zip(edges[::2], edges[1::2])]
+        for advice, start, length in [(mmap.MADV_NOHUGEPAGE, 0, len(block)), *runs, (_MADV_POPULATE_READ, 0, len(block))]:
             try:
-                block.madvise(advice)
+                block.madvise(advice, start, length)
             except OSError:
                 pass
     return np.frombuffer(block, dtype=np.float64).reshape(shape)
@@ -219,9 +224,10 @@ def _zero_planes(shape: tuple[int, int, int]) -> np.ndarray:
 def _stamp_columns(annotations, extent, downsample, boundaries):
     """Every stamp's center in map cells, longest side and radius, (cx, cy,
     side, radius), once the annotations and boundaries pass the checks a
-    render one annotation at a time would make, in its order. The box
-    columns die on return; only these four outlive the chunk loop."""
-    x, y, w, h = box_array(annotations).T
+    render one annotation at a time would make, in its order; the chunk
+    loop keeps only these four per annotation."""
+    annotations = Annotations.of(annotations)
+    x, y, w, h = annotations.boxes.T
     cx, cy = x + w / 2.0, y + h / 2.0
     outside = np.flatnonzero(
         ~((0.0 <= cx) & (cx <= extent.width) & (0.0 <= cy) & (cy <= extent.height))
@@ -237,18 +243,37 @@ def _stamp_columns(annotations, extent, downsample, boundaries):
     return cx / downsample, cy / downsample, side, _radii(_sigma_cells(side, downsample))
 
 
-def _stamp_chunk(planes, bucket, cx, cy, sigma, radius) -> None:
-    """Add one chunk of stamps to the planes of their buckets, in order:
-    centers and clamped sigmas in map cells, radii from _radii."""
-    map_h, map_w = planes[0].shape
-    # Clip each support window to the raster: [x0, x1) x [y0, y1) in map
-    # cells, and the window's offset into its kernel.
-    left, top = np.floor(cx).astype(np.int64) - radius, np.floor(cy).astype(np.int64) - radius
-    span = 2 * radius + 1
-    x0, y0 = np.maximum(left, 0), np.maximum(top, 0)
-    x1, y1 = np.minimum(left + span, map_w), np.minimum(top + span, map_h)
-    windows = np.stack([x0, x1, y0, y1, x0 - left, x1 - left, y0 - top, y1 - top], axis=1).tolist()
+def _chunks(cx, cy, side, radius, downsample, boundaries, map_w, map_h):
+    """The stamps in chunks of about _CHUNK_CELLS kernel cells, in order:
+    each chunk's buckets, support windows clipped to the raster ([x0, x1) x
+    [y0, y1) in map cells, then the window's offsets into its kernel),
+    centers and clamped sigmas in map cells, and radii."""
+    cells = (2 * radius + 1) ** 2
+    chunk_of = (np.cumsum(cells) - cells) // _CHUNK_CELLS
+    starts = np.flatnonzero(np.diff(chunk_of, prepend=-1)).tolist() + [len(cx)]
+    for c in (slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])):
+        r = radius[c]
+        left, top = np.floor(cx[c]).astype(np.int64) - r, np.floor(cy[c]).astype(np.int64) - r
+        x0, y0 = np.maximum(left, 0), np.maximum(top, 0)
+        x1, y1 = np.minimum(left + 2 * r + 1, map_w), np.minimum(top + 2 * r + 1, map_h)
+        windows = np.stack([x0, x1, y0, y1, x0 - left, x1 - left, y0 - top, y1 - top], axis=1)
+        bucket = np.searchsorted(np.asarray(boundaries, dtype=np.float64), side[c], side="right")
+        yield bucket, windows, cx[c], cy[c], _sigma_cells(side[c], downsample), r
 
+
+def _written_pages(bucket, windows, map_h: int, map_w: int) -> np.ndarray:
+    """The pages of the (4, map_h, map_w) block that hold the first or the
+    last cell of a window row; a row wider than two pages faults the rest."""
+    x0, x1, y0, y1 = windows[:, :4].T
+    rows = np.where(x0 < x1, np.maximum(y1 - y0, 0), 0)
+    stamp = np.repeat(np.arange(len(rows)), rows)
+    row = np.arange(len(stamp)) + np.repeat(y0 - (np.cumsum(rows) - rows), rows)
+    first = (bucket[stamp] * map_h + row) * map_w + x0[stamp]
+    return np.concatenate([first, first + (x1 - x0)[stamp] - 1]) * 8 // mmap.PAGESIZE
+
+
+def _stamp_chunk(planes, bucket, windows, cx, cy, sigma, radius) -> None:
+    """Add one of _chunks to the planes of its buckets, in order."""
     order = np.argsort(radius, kind="stable")
     cuts = np.flatnonzero(np.diff(radius[order])) + 1
     kernels: list = [None] * len(order)
@@ -256,7 +281,7 @@ def _stamp_chunk(planes, bucket, cx, cy, sigma, radius) -> None:
         batch = _kernels(cx[group], cy[group], sigma[group], int(radius[group[0]]))
         for i, kernel in zip(group.tolist(), batch):
             kernels[i] = kernel
-    for b, kernel, (ax0, ax1, ay0, ay1, kx0, kx1, ky0, ky1) in zip(bucket, kernels, windows):
+    for b, kernel, (ax0, ax1, ay0, ay1, kx0, kx1, ky0, ky1) in zip(bucket.tolist(), kernels, windows.tolist()):
         if ax0 < ax1 and ay0 < ay1:
             planes[b][ay0:ay1, ax0:ax1] += kernel[ky0:ky1, kx0:kx1]
 
@@ -274,30 +299,20 @@ def render_gt_density(
     Kernels are evaluated in batches that share a radius, and every map
     cell receives its contributions in annotation order, so the maps do
     not depend on how annotations are batched. The four maps are views of
-    one _zero_planes block, so cells no stamp reaches take no memory; each
-    chunk's buckets, sigmas, kernels and windows exist only while it is
-    stamped.
+    one _zero_planes block, so cells no stamp reaches take no memory, and a
+    first pass over the chunks names the pages the stamps write, so they
+    are faulted in by run. Each chunk's buckets, sigmas, kernels and
+    windows exist only while it is marked or stamped.
     """
     if not 1 <= downsample < math.inf:
         raise ValueError(f"downsample must be finite and >= 1, got {downsample}")
     map_w = int(math.ceil(extent.width / downsample))
     map_h = int(math.ceil(extent.height / downsample))
-    planes = list(_zero_planes((len(ScaleLevel), map_h, map_w)))
-    cx, cy, side, radius = _stamp_columns(annotations, extent, downsample, boundaries)
-
-    edges = np.asarray(boundaries, dtype=np.float64)
-    cells = (2 * radius + 1) ** 2
-    chunk_of = (np.cumsum(cells) - cells) // _CHUNK_CELLS
-    starts = np.flatnonzero(np.diff(chunk_of, prepend=-1)).tolist() + [len(annotations)]
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        _stamp_chunk(
-            planes,
-            np.searchsorted(edges, side[lo:hi], side="right").tolist(),
-            cx[lo:hi],
-            cy[lo:hi],
-            _sigma_cells(side[lo:hi], downsample),
-            radius[lo:hi],
-        )
+    columns = (*_stamp_columns(annotations, extent, downsample, boundaries), downsample, boundaries, map_w, map_h)
+    pages = (_written_pages(bucket, windows, map_h, map_w) for bucket, windows, *_ in _chunks(*columns))
+    planes = list(_zero_planes((len(ScaleLevel), map_h, map_w), pages))
+    for chunk in _chunks(*columns):
+        _stamp_chunk(planes, *chunk)
 
     return DensityMapSet(
         maps=tuple(DensityMap(values=p, downsample=float(downsample)) for p in planes)

@@ -17,10 +17,10 @@ from .core import (
     EVAL_LARGE_AREA,
     EVAL_SMALL_AREA,
     Annotation,
+    Annotations,
     Detections,
     EvalSizeBucket,
     GlobalDetection,
-    box_array,
     overlap_pairs,
 )
 
@@ -97,11 +97,6 @@ def _sorted_order(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return np.lexsort((boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], -scores))
 
 
-def _annotation_columns(gts: list[Annotation]) -> tuple[np.ndarray, np.ndarray]:
-    """Boxes (m, 4) and categories of the ground truth."""
-    return box_array(gts), np.array([g.category for g in gts], dtype=np.int64)
-
-
 def _match(
     dets: Detections, gt_boxes: np.ndarray, gt_categories: np.ndarray, iou_threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +132,8 @@ def match_detections(
 
     Returns (detection order, matched gt index per ordered detection).
     """
-    order, match = _match(Detections.of(dets), *_annotation_columns(gts), iou_threshold)
+    gts = Annotations.of(gts)
+    order, match = _match(Detections.of(dets), gts.boxes, gts.categories, iou_threshold)
     return order.tolist(), [None if gi < 0 else gi for gi in match.tolist()]
 
 
@@ -206,10 +202,9 @@ def _slices(
     size_filters: tuple[EvalSizeBucket | None, ...],
 ) -> list[ApResult]:
     """Match once at IoU 0.5, then take every requested slice."""
-    dets = Detections.of(dets)
-    gt_boxes, gt_categories = _annotation_columns(gts)
-    order, match = _match(dets, gt_boxes, gt_categories, MATCH_IOU)
-    det_bucket, gt_bucket = _size_buckets(dets.boxes[order]), _size_buckets(gt_boxes)
+    dets, gts = Detections.of(dets), Annotations.of(gts)
+    order, match = _match(dets, gts.boxes, gts.categories, MATCH_IOU)
+    det_bucket, gt_bucket = _size_buckets(dets.boxes[order]), _size_buckets(gts.boxes)
     return [_slice_ap(match, det_bucket, gt_bucket, f) for f in size_filters]
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    Annotation, Detections, PatchDetection, SceneExtent, box_array, clip_corners, detection_row, json_int, json_list,
+    Annotation, Annotations, Detections, PatchDetection, SceneExtent, clip_corners, detection_row, json_int, json_list,
 )
 from .saccade import DEFAULT_EXPANSION, Patch, patch_manifest
 
@@ -123,10 +123,10 @@ class OracleDetector(DetectorAdapter):
     """
 
     def __init__(self, annotations: list[Annotation]):
-        self._boxes = box_array(annotations)
+        annotations = Annotations.of(annotations)
+        self._boxes, self._categories = annotations.boxes, annotations.categories
         x, y, w, h = self._boxes.T
         self._centers = np.stack([x + w / 2.0, y + h / 2.0], axis=1)
-        self._categories = np.array([a.category for a in annotations], dtype=np.int64)
 
     def detect(self, np_patch: NormalizedPatch) -> Detections:
         region = np_patch.patch.region

@@ -319,6 +319,7 @@ def scene_stats(
     counts as foreground when its center falls inside any box, which
     estimates union area without double-counting overlaps.
     """
+    annotations = list(annotations)  # a core.Annotations builds its rows once, not per pass
     counts = {s: 0 for s in ScaleLevel}
     for ann in annotations:
         counts[scale_bucket(ann.bbox)] += 1

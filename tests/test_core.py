@@ -4,11 +4,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from densegaze import core
 from densegaze.core import (
     Annotation,
+    Annotations,
     BoundingBox,
     Detection,
     Detections,
@@ -362,6 +363,45 @@ class TestOverlapPairs:
             k: r for k, r in expected.items() if r >= 0.5
         }
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 120), st.integers(0, 120), st.integers(1, 80), st.integers(1, 80)), max_size=10),
+        st.sampled_from([1.0, 10.0]),
+        st.sampled_from([0.0, 1e16, -1e16, 2.0**53]),
+        st.one_of(st.sampled_from([1e-9, 0.25, 0.5, 0.75, 0.9, 1.0]), st.floats(1e-9, 1.0)),
+    )
+    def test_iou_window_equals_iou_above_the_threshold(self, rows, unit, origin, min_iou):
+        # Whole units put starts exactly on a window edge x + (1 - t) * w
+        # for t in quarters, and tenths round (1 - t) * w below an edge that
+        # iou reaches; at 1e16 every sum rounds.
+        boxes = [BoundingBox(origin + x / unit, y / unit, w / unit, h / unit) for x, y, w, h in rows]
+        pairs = [(p, q, iou(a, b)) for p, a in enumerate(boxes) for q, b in enumerate(boxes)]
+        i, j, v = overlap_pairs(as_array(boxes), as_array(boxes[::-1]), min_iou)
+        n = len(boxes)
+        expected = sorted((p, n - 1 - q, r) for p, q, r in pairs if r != 0.0 and r >= min_iou)
+        assert list(zip(i.tolist(), j.tolist(), v.tolist())) == expected
+
+    @pytest.mark.parametrize(
+        "a, b, t",
+        [
+            ((0.0, 0.0, 8.0, 4.0), (4.0, 0.0, 4.0, 4.0), 0.5),
+            ((3.0, 0.0, 27.0, 2.0), (5.7, 0.0, 24.3, 2.0), 0.9),
+            ((1e16, 0.0, 3.0, 1.0), (1e16 + 2, 0.0, 2.0, 1.0), 2 / 3),
+        ],
+        ids=["on-the-edge", "past-the-rounded-edge", "rounded-right"],
+    )
+    def test_iou_window_keeps_a_pair_on_its_edge(self, a, b, t):
+        # b spans the rest of a with a's height. Past the rounded edge, IoU
+        # rounds to just above t while a.x + (1 - t) * a.width rounds to
+        # just below b.x. At 1e16, a.right rounds up by 1, so iou sees an
+        # intersection of 2 and IoU 2/3, while a.x + 1 rounds down to a.x.
+        # Only the margin keeps these pairs.
+        a, b = BoundingBox(*a), BoundingBox(*b)
+        assert iou(a, b) >= t
+        for first, second in ((a, b), (b, a)):
+            i, j, v = overlap_pairs(as_array([first]), as_array([second]), t)
+            assert (i.tolist(), j.tolist(), v.tolist()) == ([0], [0], [iou(a, b)])
+
 
 class TestScaleBucket:
     @pytest.mark.parametrize(
@@ -438,6 +478,80 @@ def reference_save_scene(path, annotations, extent):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def reference_load_scene(path):
+    """load_scene one entry at a time, as a list of Annotation objects."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    try:
+        scene = doc["scene"]
+        extent = SceneExtent(core.json_int(scene["width"], "width"), core.json_int(scene["height"], "height"))
+        raw = core.json_list(doc["annotations"], "annotations")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed annotation document {path}: {exc}") from exc
+    annotations, seen = [], set()
+    for index, entry in enumerate(raw):
+        try:
+            ann_id = core.json_int(entry["id"], "id")
+            x, y, w, h = (v if type(v) is float else core.json_float(v, "bbox value") for v in entry["bbox"])
+            if ann_id in seen:
+                raise ValueError(f"duplicate annotation id {ann_id} in {path}")
+            seen.add(ann_id)
+            box = BoundingBox(x, y, w, h)
+            if not (x >= 0.0 and y >= 0.0 and x + w <= extent.width and y + h <= extent.height):
+                box = box.clip(extent)
+                if box is None:
+                    raise ValueError(f"annotation {ann_id} lies entirely outside the scene")
+            annotations.append(Annotation(ann_id, box, core.json_category(entry.get("category", 0))))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"annotation entry {index}: {exc!s}") from exc
+    return annotations, extent
+
+
+# Box positions inside, across and beyond a 10-wide scene, and, at 2**53 in a
+# 2**53 + 3 wide one, with sums that round past the width; positive sizes;
+# and values that fault a box.
+POSITIONS = [-0.5, -0.0, 0.0, 5e-324, 1, 3.0, 4, 9.5]
+FAR_POSITIONS = [10, 11.0, 1e16, 2.0**53, 2**53 + 1]
+SIZES = [5e-324, 0.5, 1, 2.0, 3.0, 4, 10, 1e16]
+BAD_BOX_VALUES = [math.nan, math.inf, -math.inf, -1.0, 0, -0.0, 2**70, 10**400, True, None, "1", [1.0]]
+
+
+@st.composite
+def scene_documents(draw):
+    """Scene documents of plain entries (int ids and categories, int or
+    float box values), some of them with a duplicate id or a box that is
+    not finite, not positive or outside the scene, and up to two odd
+    entries: a field of another type, a missing field, or no object."""
+    near, far = st.sampled_from(POSITIONS), st.sampled_from(FAR_POSITIONS)
+    box = st.tuples(st.one_of(near, near, near, near, near, far), near, st.sampled_from(SIZES), st.sampled_from(SIZES))
+    entries = []
+    for _ in range(draw(st.integers(0, 8))):
+        entry = {"id": draw(st.one_of(st.integers(0, 40), st.just(2**70))), "bbox": list(draw(box))}
+        if draw(st.integers(0, 5)) == 0:
+            entry["bbox"][draw(st.integers(0, 3))] = draw(st.sampled_from(BAD_BOX_VALUES[:6]))
+        if draw(st.booleans()):
+            entry["category"] = draw(st.integers(0, 3))
+        entries.append(entry)
+    odd = {
+        "id": st.sampled_from([-(2**70), True, 1.0, 2.5, None, "1"]),
+        "bbox": st.one_of(
+            st.lists(st.sampled_from(POSITIONS + SIZES + BAD_BOX_VALUES), min_size=3, max_size=5),
+            st.sampled_from([None, 7, "abcd", {"x": 1}]),
+        ),
+        "category": st.sampled_from([2**63, -(2**63), False, 2.0, 0.5, None]),
+    }
+    for _ in range(draw(st.integers(0, 2)) if entries else 0):
+        r, kind = draw(st.integers(0, len(entries) - 1)), draw(st.sampled_from([*odd, "missing", "object"]))
+        if kind == "object" or not isinstance(entries[r], dict):
+            entries[r] = draw(st.sampled_from([[], None, "entry"]))
+        elif kind == "missing":
+            entries[r].pop(draw(st.sampled_from(["id", "bbox"])), None)
+        else:
+            entries[r][kind] = draw(odd[kind])
+    width = draw(st.sampled_from([10, 2**53 + 3]))
+    return {"scene": {"width": width, "height": 10}, "annotations": entries}
 
 
 class TestSceneIo:
@@ -628,3 +742,67 @@ class TestSceneIo:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="malformed annotation document"):
             load_scene(path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(scene_documents())
+    @example({"scene": {"width": 2**53 + 3, "height": 10}, "annotations": [{"id": 0, "bbox": [2.0**53, 0, 3.0, 1]}]})
+    @example({"scene": {"width": 10, "height": 10}, "annotations": [{"id": 2**70, "bbox": [-0.0, -3.0, 11.0, 4]}]})
+    @example({"scene": {"width": 10, "height": 10}, "annotations": [{"id": 1.0, "bbox": [1, 2, 3, 4]}]})
+    @example({"scene": {"width": 10, "height": 10}, "annotations": [{"id": 1, "bbox": [1, 2, 3, 4], "category": 2.0}]})
+    @example(
+        {"scene": {"width": 10, "height": 10},
+         "annotations": [{"id": i, "bbox": [1, 2, 3, h]} for i, h in enumerate([4, -0.0, math.nan, 0])]}
+    )
+    @example(
+        {"scene": {"width": 10, "height": 10},
+         "annotations": [{"id": i, "bbox": [1, 2, w, 4]} for i, w in enumerate([3, 0, math.inf])]}
+    )
+    @example(
+        {"scene": {"width": 10, "height": 10},
+         "annotations": [{"id": i, "bbox": [x, 2, 3, 4]} for i, x in ((3, 0), (4, 1), (3, 1), (5, 12.0))]}
+    )
+    def test_loads_as_the_entry_by_entry_reference(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("scenes") / "scene.json"
+        path.write_text(json.dumps(doc))
+        try:
+            expected = repr(reference_load_scene(path))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as error:
+                load_scene(path)
+            assert str(error.value) == str(exc)
+            return
+        annotations, extent = load_scene(path)
+        # repr tells an int from a float and -0.0 from 0.0.
+        assert repr((list(annotations), extent)) == expected
+
+
+class TestAnnotations:
+    ROWS = [Annotation(2**70, BoundingBox(-0.0, 2.5, 3.0, 4.0), 2), Annotation(-1, BoundingBox(1, 2, 3, 4))]
+
+    def test_columns_of_a_list_and_rows_as_loaded(self):
+        gt = Annotations.of(self.ROWS)
+        assert Annotations.of(gt) is gt
+        assert gt.boxes.dtype == np.float64 and gt.boxes.tolist() == [[-0.0, 2.5, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]]
+        assert gt.categories.dtype == np.int64 and gt.categories.tolist() == [2, 0]
+        assert gt.ids == [2**70, -1]
+        assert len(gt) == 2 and gt == self.ROWS and self.ROWS == gt and gt == tuple(self.ROWS) and gt == gt
+        assert repr(list(gt)) == repr(
+            [Annotation(2**70, BoundingBox(-0.0, 2.5, 3.0, 4.0), 2), Annotation(-1, BoundingBox(1.0, 2.0, 3.0, 4.0), 0)]
+        )
+        assert gt[-1] == self.ROWS[1] and [a.id for a in reversed(gt)] == [-1, 2**70]
+
+    def test_differs_from_other_rows_and_other_types(self):
+        gt = Annotations.of(self.ROWS)
+        assert gt != self.ROWS[:1] and gt != self.ROWS[::-1] and gt != Annotations.of(self.ROWS[:1])
+        assert gt != "rows" and gt != np.zeros(2)
+        with pytest.raises(IndexError):
+            gt[2]
+        with pytest.raises(TypeError):
+            gt[0:1]
+
+    def test_load_scene_gives_columns(self, tmp_path, default_scene):
+        annotations, extent = default_scene
+        save_scene(tmp_path / "scene.json", annotations, extent)
+        loaded, _ = load_scene(tmp_path / "scene.json")
+        assert isinstance(loaded, Annotations)
+        assert loaded.boxes.tobytes() == Annotations.of(annotations).boxes.tobytes()

@@ -332,18 +332,51 @@ class TestRender:
         fresh = render_gt_density(annotations, extent)
         assert [fresh[scale].values.tobytes() for scale in ScaleLevel] == expected
 
-    @pytest.mark.parametrize("platform", ["advice refused", "no private mapping"])
+    @pytest.mark.parametrize("platform", ["advice refused", "write advice refused", "no private mapping"])
     def test_every_allocation_path_renders_like_reference(self, default_scene, monkeypatch, platform):
-        if platform == "advice refused":
+        if platform != "no private mapping":
+            refused = []
 
             class RefusingMap(mmap.mmap):
-                def madvise(self, *args):
-                    raise OSError(errno.EINVAL, "advice refused")
+                def madvise(self, advice, *args):
+                    if platform == "advice refused" or advice == 23:  # MADV_POPULATE_WRITE
+                        refused.append(advice)
+                        raise OSError(errno.EINVAL, "advice refused")
+                    return super().madvise(advice, *args)
 
             monkeypatch.setattr(mmap, "mmap", RefusingMap)
         else:
             monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
         assert assert_renders_like_reference(*default_scene)
+        if platform == "write advice refused" and sys.platform == "linux":
+            assert refused and set(refused) == {23}
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="write advice is sent on Linux")
+    def test_write_advice_names_the_pages_the_stamps_write(self, default_scene, monkeypatch):
+        # The stamps' rows span at most two pages here, so the runs advised
+        # for writing cover exactly the pages the reference render writes,
+        # and no page a stamp leaves alone becomes resident.
+        annotations, extent = default_scene
+        advised = set()
+
+        class RecordingMap(mmap.mmap):
+            def madvise(self, advice, start=0, length=0):
+                if advice == 23:  # MADV_POPULATE_WRITE
+                    advised.update(range(start // mmap.PAGESIZE, -(-(start + length) // mmap.PAGESIZE)))
+                return super().madvise(advice, start, length)
+
+        monkeypatch.setattr(mmap, "mmap", RecordingMap)
+        render_gt_density(annotations, extent)
+        map_w, map_h = math.ceil(extent.width / 32.0), math.ceil(extent.height / 32.0)
+        written = set()
+        for a in annotations:
+            cx, cy = a.bbox.center
+            x0, y0, k = reference_stamp((cx / 32.0, cy / 32.0), sigma_for(a.bbox) / 32.0)
+            ax0, ax1 = max(x0, 0), min(x0 + k.shape[1], map_w)
+            for row in range(max(y0, 0), min(y0 + k.shape[0], map_h)) if ax0 < ax1 else ():
+                first = (int(scale_bucket(a.bbox)) * map_h + row) * map_w
+                written.update(range((first + ax0) * 8 // mmap.PAGESIZE, ((first + ax1) * 8 - 1) // mmap.PAGESIZE + 1))
+        assert advised == written
 
     def test_an_impossible_raster_fails_as_np_zeros_fails(self):
         extent = SceneExtent(10**12, 10**12)
