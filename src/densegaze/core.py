@@ -351,14 +351,17 @@ def overlap_pairs(
     [a.x, a.right] or a starts in (b.x, b.right], so each box's partners
     are one range of the other side sorted by x. The ranges are examined
     in fixed-size chunks; memory is O(n + m + pairs), with no n x m matrix.
+    A self-join (b is a) runs the first sweep only: the second would find
+    the mirror of each of its pairs whose partner starts strictly later.
     """
+    self_join = b is a
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
     ax, ay, aw, ah = a.T
     bx, by, bw, bh = b.T
     a_right, a_bottom, b_right, b_bottom = ax + aw, ay + ah, bx + bw, by + bh
-    a_by_x, b_by_x = np.argsort(ax, kind="stable"), np.argsort(bx, kind="stable")
-    b_x, a_x = bx[b_by_x], ax[a_by_x]
+    b_by_x = np.argsort(bx, kind="stable")
+    b_x = bx[b_by_x]
     # IoU >= t gives I >= t * max(A, B) with I <= iw * min(ah, bh), so iw >=
     # t * max(aw, bw): b starts within (1 - t) * aw of a.x, or a within
     # (1 - t) * bw of b.x. A range closes there plus a margin far above the
@@ -371,10 +374,15 @@ def overlap_pairs(
         window = np.minimum(x + slack * w + 1e-9 * (np.abs(x) + w), right)
         return np.where(np.minimum(w, h) >= 1e-145, window, right)
 
-    sweeps = (
+    sweeps = [
         (False, b_by_x, np.searchsorted(b_x, ax, "left"), np.searchsorted(b_x, reach(ax, aw, ah, a_right), "right")),
-        (True, a_by_x, np.searchsorted(a_x, bx, "right"), np.searchsorted(a_x, reach(bx, bw, bh, b_right), "right")),
-    )
+    ]
+    if not self_join:
+        a_by_x = np.argsort(ax, kind="stable")
+        a_x = ax[a_by_x]
+        sweeps.append(
+            (True, a_by_x, np.searchsorted(a_x, bx, "right"), np.searchsorted(a_x, reach(bx, bw, bh, b_right), "right"))
+        )
     parts_i, parts_j, parts_v = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     for swapped, by_x, lo, hi in sweeps:
         for rows, pos in _range_chunks(lo, hi):
@@ -398,9 +406,13 @@ def overlap_pairs(
             parts_i.append(i[keep])
             parts_j.append(j[keep])
             parts_v.append(v[keep])
-    i, j = np.concatenate(parts_i), np.concatenate(parts_j)
+    i, j, v = np.concatenate(parts_i), np.concatenate(parts_j), np.concatenate(parts_v)
+    if self_join:
+        # Every term of v commutes in a and b, so the mirror's IoU is v's bits.
+        later = bx[j] > ax[i]
+        i, j, v = np.concatenate((i, j[later])), np.concatenate((j, i[later])), np.concatenate((v, v[later]))
     order = np.lexsort((j, i))
-    return i[order], j[order], np.concatenate(parts_v)[order]
+    return i[order], j[order], v[order]
 
 
 def scale_bucket(

@@ -146,7 +146,12 @@ class NoisyDetector(DetectorAdapter):
     """Oracle output degraded with seeded jitter, misses, and false positives.
 
     Randomness is keyed on (seed, patch identity), so output is identical
-    across runs and worker counts regardless of call order.
+    across runs and worker counts regardless of call order. The draw order
+    is the adapter's contract: per oracle row, one uniform decides the
+    miss; a kept row then takes four normals (dx, dy, dw, dh) when jitter
+    > 0, and one uniform score when jitter or the miss rate is above 0.
+    Last comes one Poisson count, with five uniforms per false positive
+    (w, h, x, y, score).
     """
 
     def __init__(
@@ -174,14 +179,24 @@ class NoisyDetector(DetectorAdapter):
     def detect(self, np_patch: NormalizedPatch) -> Detections:
         p = np_patch.patch
         rng = np.random.default_rng([self.seed, int(p.scale), p.iy, p.ix])
+        random = rng.random
+
+        def uniform(lo: float, hi: float) -> float:
+            # numpy's formula for rng.uniform(lo, hi), without its scalar-call overhead
+            return lo + (hi - lo) * random()
+
+        jitter, miss_rate = self.jitter, self.miss_rate
+        scored = jitter > 0 or miss_rate > 0
         rows: list[tuple[float, float, float, float, float, int]] = []  # x, y, w, h, score, category
         fw, fh = np_patch.content_width, np_patch.content_height
         seen = self._oracle.detect(np_patch)
         for (bx, by, bw, bh), category in zip(seen.boxes.tolist(), seen.categories.tolist()):
-            if rng.random() < self.miss_rate:
+            if random() < miss_rate:
                 continue
-            if self.jitter > 0:
-                dx, dy, dw, dh = rng.normal(0.0, self.jitter, size=4)
+            if jitter > 0:
+                # numpy's formula for rng.normal(0.0, jitter, size=4)
+                zx, zy, zw, zh = rng.standard_normal(4).tolist()
+                dx, dy, dw, dh = 0.0 + jitter * zx, 0.0 + jitter * zy, 0.0 + jitter * zw, 0.0 + jitter * zh
             else:
                 dx = dy = dw = dh = 0.0
             w = max(bw + dw, 1.0)
@@ -192,14 +207,14 @@ class NoisyDetector(DetectorAdapter):
             h = min(h, fh - y)
             if w <= 0 or h <= 0:
                 continue
-            score = float(rng.uniform(0.6, 1.0)) if self.jitter > 0 or self.miss_rate > 0 else 1.0
+            score = uniform(0.6, 1.0) if scored else 1.0
             rows.append((x, y, w, h, score, category))
         for _ in range(int(rng.poisson(self.fp_rate))):
-            w = float(rng.uniform(4.0, max(fw / 4.0, 8.0)))
-            h = float(rng.uniform(4.0, max(fh / 4.0, 8.0)))
-            x = float(rng.uniform(0.0, max(fw - w, 1.0)))
-            y = float(rng.uniform(0.0, max(fh - h, 1.0)))
-            rows.append((x, y, min(w, fw - x), min(h, fh - y), float(rng.uniform(0.05, 0.6)), 0))
+            w = uniform(4.0, max(fw / 4.0, 8.0))
+            h = uniform(4.0, max(fh / 4.0, 8.0))
+            x = uniform(0.0, max(fw - w, 1.0))
+            y = uniform(0.0, max(fh - h, 1.0))
+            rows.append((x, y, min(w, fw - x), min(h, fh - y), uniform(0.05, 0.6), 0))
         columns = np.array(rows, dtype=np.float64).reshape(-1, 6)
         return Detections(columns[:, :4], columns[:, 4], np.array([row[5] for row in rows], dtype=np.int64))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigKey, layer_settings
-from .core import Annotation, BoundingBox, ScaleLevel, SceneExtent, scale_bucket
+from .core import DEFAULT_SCALE_BOUNDARIES, Annotation, Annotations, BoundingBox, ScaleLevel, SceneExtent
 
 DEFAULT_EXTENT = SceneExtent(26368, 14976)
 
@@ -317,33 +317,34 @@ def scene_stats(
 
     Coverage is measured on a raster at the given downsample: a cell
     counts as foreground when its center falls inside any box, which
-    estimates union area without double-counting overlaps.
+    estimates union area without double-counting overlaps. Everything is
+    read from the box columns; no Annotation is built.
     """
-    annotations = list(annotations)  # a core.Annotations builds its rows once, not per pass
-    counts = {s: 0 for s in ScaleLevel}
-    for ann in annotations:
-        counts[scale_bucket(ann.bbox)] += 1
+    x, y, w, h = Annotations.of(annotations).boxes.T
+    longest = np.maximum(w, h)
+    # scale_bucket's rule, as the render applies it: boundaries at or below the side.
+    levels = np.searchsorted(np.asarray(DEFAULT_SCALE_BOUNDARIES), longest, side="right")
+    counts = dict(zip(ScaleLevel, np.bincount(levels, minlength=len(ScaleLevel)).tolist()))
 
-    if not annotations:
+    if longest.size == 0:
         return SceneStats(scale_counts=counts, foreground_fraction=0.0, side_ratio=0.0)
 
     d = raster_downsample
     gw = int(math.ceil(extent.width / d))
     gh = int(math.ceil(extent.height / d))
     covered = np.zeros((gh, gw), dtype=bool)
-    for ann in annotations:
-        b = ann.bbox
-        x0 = max(int(math.ceil(b.x / d - 0.5)), 0)
-        x1 = min(int(math.floor(b.right / d - 0.5)) + 1, gw)
-        y0 = max(int(math.ceil(b.y / d - 0.5)), 0)
-        y1 = min(int(math.floor(b.bottom / d - 0.5)) + 1, gh)
-        if x1 > x0 and y1 > y0:
-            covered[y0:y1, x0:x1] = True
+    # Each box covers the cells whose centers it holds, clamped to the raster.
+    x0 = np.clip(np.ceil(x / d - 0.5), 0, gw).astype(np.int64)
+    x1 = np.clip(np.floor((x + w) / d - 0.5) + 1, 0, gw).astype(np.int64)
+    y0 = np.clip(np.ceil(y / d - 0.5), 0, gh).astype(np.int64)
+    y1 = np.clip(np.floor((y + h) / d - 0.5) + 1, 0, gh).astype(np.int64)
+    drawn = np.flatnonzero((x1 > x0) & (y1 > y0))
+    for c0, c1, r0, r1 in zip(x0[drawn].tolist(), x1[drawn].tolist(), y0[drawn].tolist(), y1[drawn].tolist()):
+        covered[r0:r1, c0:c1] = True
     # Cells whose centers land beyond the scene edge never count.
     in_scene_w = min(gw, int(math.floor(extent.width / d + 0.5)))
     in_scene_h = min(gh, int(math.floor(extent.height / d + 0.5)))
     fraction = float(covered[:in_scene_h, :in_scene_w].sum()) / float(in_scene_w * in_scene_h)
 
-    longest = [ann.bbox.max_side for ann in annotations]
-    ratio = max(longest) / min(longest)
+    ratio = longest.max().item() / longest.min().item()
     return SceneStats(scale_counts=counts, foreground_fraction=fraction, side_ratio=ratio)

@@ -327,6 +327,30 @@ class TestOverlapPairs:
         }
         assert dict(zip(zip(i.tolist(), j.tolist()), v.tolist())) == expected
         assert list(zip(i.tolist(), j.tolist())) == sorted(expected)
+        # The self-join: one array object as both sides, duplicates included.
+        same = as_array(b)
+        i, j, v = overlap_pairs(same, same)
+        assert list(zip(i.tolist(), j.tolist(), v.tolist())) == sorted(
+            (p, q, iou(b[p], b[q])) for p in range(len(b)) for q in range(len(b)) if iou(b[p], b[q]) != 0.0
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 8), st.integers(1, 8)), max_size=14
+        ),
+        shared=st.integers(0, 4),
+        scale=st.sampled_from([1.0, 0.3, 1e16]),
+        min_iou=st.one_of(st.sampled_from([0.0, 1e-9, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_self_join_equals_the_two_sweeps(self, rows, shared, scale, min_iou):
+        # Few distinct starts give equal-x ties; shared rows give duplicate
+        # boxes. A copy is another object, so it takes both sweeps.
+        boxes_a = np.array(rows + rows[:shared], dtype=np.float64).reshape(-1, 4) * scale
+        got = overlap_pairs(boxes_a, boxes_a, min_iou)
+        want = overlap_pairs(boxes_a, boxes_a.copy(), min_iou)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert [g.dtype for g in got] == [w.dtype for w in want]
 
     def test_equal_boxes_whose_right_rounds_onto_x(self):
         # At x = 1e17 a width of 1 vanishes from x + w; iou still says 1.0.
@@ -334,6 +358,9 @@ class TestOverlapPairs:
         assert box.right == box.x and iou(box, box) == 1.0
         i, j, v = overlap_pairs(as_array([box]), as_array([box]))
         assert (i.tolist(), j.tolist(), v.tolist()) == ([0], [0], [1.0])
+        both = as_array([box, box])
+        i, j, v = overlap_pairs(both, both)
+        assert (i.tolist(), j.tolist(), v.tolist()) == ([0, 0, 1, 1], [0, 1, 0, 1], [1.0] * 4)
 
     def test_empty_inputs(self):
         one = as_array([BoundingBox(0, 0, 1, 1)])
@@ -380,6 +407,12 @@ class TestOverlapPairs:
         n = len(boxes)
         expected = sorted((p, n - 1 - q, r) for p, q, r in pairs if r != 0.0 and r >= min_iou)
         assert list(zip(i.tolist(), j.tolist(), v.tolist())) == expected
+        # The self-join: one array object as both sides.
+        same = as_array(boxes)
+        i, j, v = overlap_pairs(same, same, min_iou)
+        assert list(zip(i.tolist(), j.tolist(), v.tolist())) == sorted(
+            (p, q, r) for p, q, r in pairs if r != 0.0 and r >= min_iou
+        )
 
     @pytest.mark.parametrize(
         "a, b, t",

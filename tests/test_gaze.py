@@ -5,6 +5,7 @@ import tempfile
 import textwrap
 import threading
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,6 +57,41 @@ def reference_oracle_detect(annotations, np_patch):
             continue
         out.append(PatchDetection(BoundingBox(fx0, fy0, fx1 - fx0, fy1 - fy0), 1.0, ann.category))
     return out
+
+
+def reference_noisy_detect(self, np_patch):
+    """NoisyDetector.detect with numpy's scalar uniform and normal calls, as
+    the adapter first drew them; self is the NoisyDetector."""
+    p = np_patch.patch
+    rng = np.random.default_rng([self.seed, int(p.scale), p.iy, p.ix])
+    rows: list[tuple[float, float, float, float, float, int]] = []  # x, y, w, h, score, category
+    fw, fh = np_patch.content_width, np_patch.content_height
+    seen = self._oracle.detect(np_patch)
+    for (bx, by, bw, bh), category in zip(seen.boxes.tolist(), seen.categories.tolist()):
+        if rng.random() < self.miss_rate:
+            continue
+        if self.jitter > 0:
+            dx, dy, dw, dh = rng.normal(0.0, self.jitter, size=4)
+        else:
+            dx = dy = dw = dh = 0.0
+        w = max(bw + dw, 1.0)
+        h = max(bh + dh, 1.0)
+        x = min(max(bx + dx, 0.0), max(fw - w, 0.0))
+        y = min(max(by + dy, 0.0), max(fh - h, 0.0))
+        w = min(w, fw - x)
+        h = min(h, fh - y)
+        if w <= 0 or h <= 0:
+            continue
+        score = float(rng.uniform(0.6, 1.0)) if self.jitter > 0 or self.miss_rate > 0 else 1.0
+        rows.append((x, y, w, h, score, category))
+    for _ in range(int(rng.poisson(self.fp_rate))):
+        w = float(rng.uniform(4.0, max(fw / 4.0, 8.0)))
+        h = float(rng.uniform(4.0, max(fh / 4.0, 8.0)))
+        x = float(rng.uniform(0.0, max(fw - w, 1.0)))
+        y = float(rng.uniform(0.0, max(fh - h, 1.0)))
+        rows.append((x, y, min(w, fw - x), min(h, fh - y), float(rng.uniform(0.05, 0.6)), 0))
+    columns = np.array(rows, dtype=np.float64).reshape(-1, 6)
+    return Detections(columns[:, :4], columns[:, 4], np.array([row[5] for row in rows], dtype=np.int64))
 
 
 def reference_exec_clip(rows, normalized):
@@ -288,6 +324,35 @@ class TestNoisyDetector:
         a = NoisyDetector(anns, jitter=3.0, miss_rate=0.2, fp_rate=1.5, seed=1)
         b = NoisyDetector(anns, jitter=3.0, miss_rate=0.2, fp_rate=1.5, seed=2)
         assert a.detect(np_patch) != b.detect(np_patch)
+
+    # oracle_cases puts boxes across every patch edge, so the content clips
+    # them, and gives frames from 1 to 512 px, above and below the false
+    # positives' 8 px floor.
+    @settings(max_examples=400, deadline=None)
+    @given(
+        case=oracle_cases(),
+        cell=st.tuples(st.sampled_from(list(ScaleLevel)), st.integers(0, 40), st.integers(0, 40)),
+        seed=st.integers(0, 2**32),
+        jitter=st.sampled_from([0.0, 0.5, 2.0]),
+        miss_rate=st.sampled_from([0.0, 0.05, 1.0]),
+        fp_rate=st.sampled_from([0.0, 1.5, 3.0]),
+    )
+    def test_matches_the_numpy_scalar_draws(self, case, cell, seed, jitter, miss_rate, fp_rate):
+        annotations, np_patch = case
+        scale, ix, iy = cell
+        np_patch = normalize(replace(np_patch.patch, scale=scale, ix=ix, iy=iy), np_patch.standard_size)
+        adapter = NoisyDetector(annotations, jitter=jitter, miss_rate=miss_rate, fp_rate=fp_rate, seed=seed)
+
+        def outcome(detect):
+            # A frame under 1 px can place a false positive past its edge;
+            # the batch check then refuses it, and must name the same row.
+            try:
+                dets = detect(adapter, np_patch)
+            except ValueError as exc:
+                return str(exc)
+            return [(c.dtype, c.shape, c.tobytes()) for c in (dets.boxes, dets.scores, dets.categories)]
+
+        assert outcome(NoisyDetector.detect) == outcome(reference_noisy_detect)
 
     def test_validates_rates(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from densegaze.core import (
     Annotation,
+    Annotations,
     BoundingBox,
     ScaleLevel,
     SceneExtent,
@@ -44,6 +45,34 @@ def union_coverage_oracle(annotations, extent, d=32.0):
         ys = (cy >= b.y) & (cy < b.bottom)
         covered |= ys[:, None] & xs[None, :]
     return covered.mean()
+
+
+def reference_scene_stats(annotations, extent, raster_downsample=32.0):
+    """scene_stats one Annotation at a time: scale_bucket per box and one
+    raster window per box from its BoundingBox."""
+    annotations = list(annotations)
+    counts = {s: 0 for s in ScaleLevel}
+    for ann in annotations:
+        counts[scale_bucket(ann.bbox)] += 1
+    if not annotations:
+        return counts, 0.0, 0.0
+    d = raster_downsample
+    gw = int(math.ceil(extent.width / d))
+    gh = int(math.ceil(extent.height / d))
+    covered = np.zeros((gh, gw), dtype=bool)
+    for ann in annotations:
+        b = ann.bbox
+        x0 = max(int(math.ceil(b.x / d - 0.5)), 0)
+        x1 = min(int(math.floor(b.right / d - 0.5)) + 1, gw)
+        y0 = max(int(math.ceil(b.y / d - 0.5)), 0)
+        y1 = min(int(math.floor(b.bottom / d - 0.5)) + 1, gh)
+        if x1 > x0 and y1 > y0:
+            covered[y0:y1, x0:x1] = True
+    in_scene_w = min(gw, int(math.floor(extent.width / d + 0.5)))
+    in_scene_h = min(gh, int(math.floor(extent.height / d + 0.5)))
+    fraction = float(covered[:in_scene_h, :in_scene_w].sum()) / float(in_scene_w * in_scene_h)
+    longest = [ann.bbox.max_side for ann in annotations]
+    return counts, fraction, max(longest) / min(longest)
 
 
 class TestGenerateScene:
@@ -277,6 +306,38 @@ class TestSceneStats:
     def test_default_max_min_ratio(self, default_scene):
         annotations, extent = default_scene
         assert scene_stats(annotations, extent).side_ratio >= 100.0
+
+    @pytest.mark.parametrize("spec", [SceneSpec(), SceneSpec(object_count=300, seed=4), RUNG_2K], ids=["stock", "300", "2k"])
+    def test_equals_reference_for_list_and_record(self, spec):
+        annotations, extent = generate_scene(spec)
+        expected = repr(reference_scene_stats(annotations, extent))
+        for given_as in (annotations, Annotations.of(annotations)):
+            stats = scene_stats(given_as, extent)
+            assert repr((stats.scale_counts, stats.foreground_fraction, stats.side_ratio)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([-2e16, -100.0, -16.0, -0.0, 0.0, 15.9, 16.0, 48.0, 300.5, 999.0, 1e3, 2e16]),
+                st.sampled_from([-64.0, 0.0, 16.0, 17.5, 500.0, 760.0]),
+                st.sampled_from([1e-9, 0.5, 16.0, 32.0, 799.0, 800.0, 1600.0, 3200.0, 1e17]),
+                st.sampled_from([1e-9, 1.0, 31.9, 64.0, 1599.5, 5000.0]),
+            ),
+            max_size=12,
+        ),
+        downsample=st.sampled_from([1.0, 7.0, 32.0]),
+    )
+    def test_equals_reference_at_raster_and_bucket_edges(self, rows, downsample):
+        # Boxes straddle cell centers, scene edges and bucket boundaries,
+        # start beyond either side of the raster, or are wide enough that
+        # x + w rounds.
+        annotations = [Annotation(k, BoundingBox(*row)) for k, row in enumerate(rows)]
+        extent = SceneExtent(1000, 770)
+        expected = repr(reference_scene_stats(annotations, extent, downsample))
+        for given_as in (annotations, Annotations.of(annotations)):
+            stats = scene_stats(given_as, extent, downsample)
+            assert repr((stats.scale_counts, stats.foreground_fraction, stats.side_ratio)) == expected
 
     def test_json_dict(self, default_scene):
         annotations, extent = default_scene
