@@ -128,7 +128,8 @@ class OracleDetector(DetectorAdapter):
         x, y, w, h = self._boxes.T
         self._centers = np.stack([x + w / 2.0, y + h / 2.0], axis=1)
 
-    def detect(self, np_patch: NormalizedPatch) -> Detections:
+    def _rows(self, np_patch: NormalizedPatch) -> tuple[np.ndarray, np.ndarray]:
+        """The (k, 4) clipped frame boxes and categories detect answers with."""
         region = np_patch.patch.region
         cx, cy = self._centers.T
         rows = np.flatnonzero(
@@ -139,7 +140,11 @@ class OracleDetector(DetectorAdapter):
             *np_patch.to_frame(x, y), *np_patch.to_frame(x + w, y + h),
             np_patch.content_width, np_patch.content_height,
         )
-        return Detections(boxes, np.ones(len(boxes)), self._categories[rows[keep]])
+        return boxes, self._categories[rows[keep]]
+
+    def detect(self, np_patch: NormalizedPatch) -> Detections:
+        boxes, categories = self._rows(np_patch)
+        return Detections(boxes, np.ones(len(boxes)), categories)
 
 
 class NoisyDetector(DetectorAdapter):
@@ -151,7 +156,11 @@ class NoisyDetector(DetectorAdapter):
     miss; a kept row then takes four normals (dx, dy, dw, dh) when jitter
     > 0, and one uniform score when jitter or the miss rate is above 0.
     Last comes one Poisson count, with five uniforms per false positive
-    (w, h, x, y, score).
+    (w, h, x, y, score). The per-row loop only draws; the boxes are column
+    arithmetic, with max and min as np.where so ties and -0.0 match
+    Python's. A jittered box keeps a positive size while its content is
+    under 2**53 px a side, so a larger patch is refused; a false positive
+    clipped to no size (content under 1 px) is dropped after its draws.
     """
 
     def __init__(
@@ -177,46 +186,48 @@ class NoisyDetector(DetectorAdapter):
         self.seed = seed
 
     def detect(self, np_patch: NormalizedPatch) -> Detections:
+        fw, fh = np_patch.content_width, np_patch.content_height
+        if not (fw < 2.0**53 and fh < 2.0**53):
+            raise ValueError(f"noisy detector needs patch content under 2**53 px a side, got {fw!r} x {fh!r}")
         p = np_patch.patch
         rng = np.random.default_rng([self.seed, int(p.scale), p.iy, p.ix])
-        random = rng.random
-
-        def uniform(lo: float, hi: float) -> float:
-            # numpy's formula for rng.uniform(lo, hi), without its scalar-call overhead
-            return lo + (hi - lo) * random()
-
+        random, standard_normal = rng.random, rng.standard_normal
         jitter, miss_rate = self.jitter, self.miss_rate
         scored = jitter > 0 or miss_rate > 0
-        rows: list[tuple[float, float, float, float, float, int]] = []  # x, y, w, h, score, category
-        fw, fh = np_patch.content_width, np_patch.content_height
-        seen = self._oracle.detect(np_patch)
-        for (bx, by, bw, bh), category in zip(seen.boxes.tolist(), seen.categories.tolist()):
+        boxes, categories = self._oracle._rows(np_patch)
+        z = np.zeros((len(boxes), 4))
+        kept, scores = [], []
+        for row, z_row in enumerate(z):
             if random() < miss_rate:
                 continue
+            kept.append(row)
             if jitter > 0:
-                # numpy's formula for rng.normal(0.0, jitter, size=4)
-                zx, zy, zw, zh = rng.standard_normal(4).tolist()
-                dx, dy, dw, dh = 0.0 + jitter * zx, 0.0 + jitter * zy, 0.0 + jitter * zw, 0.0 + jitter * zh
-            else:
-                dx = dy = dw = dh = 0.0
-            w = max(bw + dw, 1.0)
-            h = max(bh + dh, 1.0)
-            x = min(max(bx + dx, 0.0), max(fw - w, 0.0))
-            y = min(max(by + dy, 0.0), max(fh - h, 0.0))
-            w = min(w, fw - x)
-            h = min(h, fh - y)
-            if w <= 0 or h <= 0:
-                continue
-            score = uniform(0.6, 1.0) if scored else 1.0
-            rows.append((x, y, w, h, score, category))
-        for _ in range(int(rng.poisson(self.fp_rate))):
-            w = uniform(4.0, max(fw / 4.0, 8.0))
-            h = uniform(4.0, max(fh / 4.0, 8.0))
-            x = uniform(0.0, max(fw - w, 1.0))
-            y = uniform(0.0, max(fh - h, 1.0))
-            rows.append((x, y, min(w, fw - x), min(h, fh - y), uniform(0.05, 0.6), 0))
-        columns = np.array(rows, dtype=np.float64).reshape(-1, 6)
-        return Detections(columns[:, :4], columns[:, 4], np.array([row[5] for row in rows], dtype=np.int64))
+                standard_normal(out=z_row)
+            if scored:
+                scores.append(random())
+        fp_draws = random(5 * int(rng.poisson(self.fp_rate))).reshape(-1, 5)
+
+        def at_least(v, lo):  # max(v, lo)
+            return np.where(lo > v, lo, v)
+
+        def at_most(v, hi):  # min(v, hi)
+            return np.where(hi < v, hi, v)
+
+        # Columns are (x, y) and (w, h) pairs. numpy's formulas for
+        # rng.normal(0.0, jitter) and rng.uniform(lo, hi), lo + (hi - lo) * u,
+        # which is hi * u to the bit when lo is 0 and hi >= 1.
+        frame, kept = np.array([fw, fh]), np.array(kept, np.intp)
+        box, z = boxes[kept], 0.0 + jitter * z[kept]
+        wh = at_least(box[:, 2:] + z[:, 2:], 1.0)
+        xy = at_most(at_least(box[:, :2] + z[:, :2], 0.0), at_least(frame - wh, 0.0))
+        fp_wh = 4.0 + (at_least(frame / 4.0, 8.0) - 4.0) * fp_draws[:, :2]
+        xy = np.concatenate([xy, at_least(frame - fp_wh, 1.0) * fp_draws[:, 2:4]])
+        wh = at_most(np.concatenate([wh, fp_wh]), frame - xy)
+        score = 0.6 + (1.0 - 0.6) * np.array(scores) if scored else np.ones(len(kept))
+        scores = np.concatenate([score, 0.05 + (0.6 - 0.05) * fp_draws[:, 4]])
+        keep = (wh > 0).all(axis=1)  # only a false positive can clip to no size
+        categories = np.concatenate([categories[kept], np.zeros(len(fp_draws), np.int64)])
+        return Detections(np.concatenate([xy, wh], axis=1)[keep], scores[keep], categories[keep])
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from densegaze.core import Annotation, BoundingBox, Detections, ScaleLevel, Scen
 from densegaze import gaze
 from densegaze.density import render_gt_density
 from densegaze.merge import write_detections
-from densegaze.pipeline import run_pipeline
+from densegaze.pipeline import run_pipeline, select
 from densegaze.gaze import (
     AdapterError,
     CostedDetector,
@@ -31,6 +32,7 @@ from densegaze.gaze import (
     run_gaze,
 )
 from densegaze.saccade import Patch, patch_manifest, saccade
+from densegaze.synth import SceneSpec, generate_scene
 
 
 def make_patch(x, y, w, h, scale=ScaleLevel.TINY, ix=0, iy=0, density=1.0):
@@ -61,7 +63,9 @@ def reference_oracle_detect(annotations, np_patch):
 
 def reference_noisy_detect(self, np_patch):
     """NoisyDetector.detect with numpy's scalar uniform and normal calls, as
-    the adapter first drew them; self is the NoisyDetector."""
+    the adapter first drew them, one row at a time; self is the
+    NoisyDetector. A false positive clipped to no size drops after its
+    draws."""
     p = np_patch.patch
     rng = np.random.default_rng([self.seed, int(p.scale), p.iy, p.ix])
     rows: list[tuple[float, float, float, float, float, int]] = []  # x, y, w, h, score, category
@@ -89,7 +93,10 @@ def reference_noisy_detect(self, np_patch):
         h = float(rng.uniform(4.0, max(fh / 4.0, 8.0)))
         x = float(rng.uniform(0.0, max(fw - w, 1.0)))
         y = float(rng.uniform(0.0, max(fh - h, 1.0)))
-        rows.append((x, y, min(w, fw - x), min(h, fh - y), float(rng.uniform(0.05, 0.6)), 0))
+        score = float(rng.uniform(0.05, 0.6))
+        w, h = min(w, fw - x), min(h, fh - y)
+        if w > 0 and h > 0:
+            rows.append((x, y, w, h, score, 0))
     columns = np.array(rows, dtype=np.float64).reshape(-1, 6)
     return Detections(columns[:, :4], columns[:, 4], np.array([row[5] for row in rows], dtype=np.int64))
 
@@ -112,6 +119,11 @@ def reference_exec_clip(rows, normalized):
             PatchDetection(BoundingBox(x0, y0, x1 - x0, y1 - y0), float(row["score"]), row.get("category", 0))
         )
     return results
+
+
+def batch_bits(dets):
+    """A Detections batch's boxes, scores and categories as (dtype, shape, bytes)."""
+    return [(c.dtype, c.shape, c.tobytes()) for c in (dets.boxes, dets.scores, dets.categories)]
 
 
 def detection_bits(dets):
@@ -297,15 +309,30 @@ class TestOracleDetector:
         assert len(oracle.detect(right)) == 1
 
 
+@functools.lru_cache(maxsize=None)
+def _crowd_1k(seed):
+    return generate_scene(SceneSpec(object_count=1000, foreground_fraction_target=0.07, seed=seed))
+
+
+def selected_frames(annotations, extent):
+    """Every patch the stock config selects on a scene, normalized."""
+    config = PipelineConfig()
+    _, patches = select(annotations, extent, config)
+    standard = config.resolve_standard_size(extent)
+    return [normalize(patch, standard) for patch in patches]
+
+
 class TestNoisyDetector:
     def _scene(self):
         anns = [Annotation(i, BoundingBox(100 + 150 * i, 200, 60, 120)) for i in range(5)]
         return anns, normalize(make_patch(0, 0, 1000, 1000), (1000, 1000))
 
-    def test_degenerate_noise_equals_oracle(self):
-        anns, np_patch = self._scene()
-        noisy = NoisyDetector(anns, jitter=0.0, miss_rate=0.0, fp_rate=0.0, seed=1)
-        assert noisy.detect(np_patch) == OracleDetector(anns).detect(np_patch)
+    def test_degenerate_noise_equals_oracle(self, default_scene):
+        annotations, _ = default_scene
+        noisy = NoisyDetector(annotations, jitter=0.0, miss_rate=0.0, fp_rate=0.0, seed=1)
+        oracle = OracleDetector(annotations)
+        for np_patch in selected_frames(*default_scene):
+            assert batch_bits(noisy.detect(np_patch)) == batch_bits(oracle.detect(np_patch))
 
     def test_full_miss_rate(self):
         anns, np_patch = self._scene()
@@ -342,17 +369,40 @@ class TestNoisyDetector:
         scale, ix, iy = cell
         np_patch = normalize(replace(np_patch.patch, scale=scale, ix=ix, iy=iy), np_patch.standard_size)
         adapter = NoisyDetector(annotations, jitter=jitter, miss_rate=miss_rate, fp_rate=fp_rate, seed=seed)
+        assert batch_bits(adapter.detect(np_patch)) == batch_bits(reference_noisy_detect(adapter, np_patch))
 
-        def outcome(detect):
-            # A frame under 1 px can place a false positive past its edge;
-            # the batch check then refuses it, and must name the same row.
-            try:
-                dets = detect(adapter, np_patch)
-            except ValueError as exc:
-                return str(exc)
-            return [(c.dtype, c.shape, c.tobytes()) for c in (dets.boxes, dets.scores, dets.categories)]
+    # CI's three flag sets for the 1k crowd, and false positives alone.
+    @pytest.mark.parametrize("scene_seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "jitter, miss_rate, fp_rate, seed", [(2.0, 0.05, 3.0, 0), (0.0, 0.05, 3.0, 1), (2.0, 0.0, 0.0, 2), (2.0, 1.0, 3.0, 3)]
+    )
+    def test_whole_crowd_scenes_match_the_numpy_scalar_draws(self, scene_seed, jitter, miss_rate, fp_rate, seed):
+        annotations, _ = _crowd_1k(scene_seed)
+        adapter = NoisyDetector(annotations, jitter=jitter, miss_rate=miss_rate, fp_rate=fp_rate, seed=seed)
+        for np_patch in selected_frames(*_crowd_1k(scene_seed)):
+            assert batch_bits(adapter.detect(np_patch)) == batch_bits(reference_noisy_detect(adapter, np_patch))
 
-        assert outcome(NoisyDetector.detect) == outcome(reference_noisy_detect)
+    def test_a_sub_pixel_frame_keeps_false_positives_inside(self):
+        # y is drawn in [0, 1) while the content is 1 x 0.5 px, so some
+        # false positives clip to no size and drop; seed 0 draws one such.
+        np_patch = normalize(make_patch(0.0, 0.0, 0.5, 0.25), (1, 1))
+        batches = [NoisyDetector([], fp_rate=1.5, seed=seed).detect(np_patch) for seed in range(8)]
+        assert len(batches[0]) == 0 and sum(map(len, batches)) > 0
+        for dets in batches:
+            x, y, w, h = dets.boxes.T
+            assert (x >= 0).all() and (y >= 0).all() and (w > 0).all() and (h > 0).all()
+            assert (x + w <= np_patch.content_width).all() and (y + h <= np_patch.content_height).all()
+
+    def test_refuses_content_of_2_53_px_a_side(self):
+        # From 2**53 px, fw - w may round to fw, leaving a jittered box no
+        # width after its score was drawn.
+        anns = [Annotation(0, BoundingBox(0.0, 0.0, 4.0, 4.0))]
+        adapter = NoisyDetector(anns, jitter=1.0, fp_rate=1.0)
+        for side in (2.0**53, 2.0**60):
+            with pytest.raises(ValueError, match=r"under 2\*\*53 px a side"):
+                adapter.detect(normalize(make_patch(0.0, 0.0, 8.0, side), (8, 8)))
+        just_under = normalize(make_patch(0.0, 0.0, 8.0, 2.0**53 - 1.0), (8, 8))
+        assert batch_bits(adapter.detect(just_under)) == batch_bits(reference_noisy_detect(adapter, just_under))
 
     def test_validates_rates(self):
         with pytest.raises(ValueError):
