@@ -14,19 +14,11 @@ import time
 from dataclasses import dataclass
 
 from .config import PipelineConfig
-from .core import Annotation, Detections, ScaleLevel, SceneExtent
+from .core import Annotation, Detections, SceneExtent
 from .density import DensityMapSet, render_gt_density
 from .gaze import DetectorAdapter, GazeResult, run_gaze
 from .merge import DEFAULT_NMS_IOU, merge_run
-from .saccade import (
-    DEFAULT_EXPANSION,
-    Patch,
-    _axis_bounds,
-    _cell_region,
-    check_expansion,
-    expand_and_clip,
-    saccade,
-)
+from .saccade import DEFAULT_EXPANSION, Patch, saccade, sliding_window_patches
 
 
 @dataclass
@@ -138,21 +130,6 @@ def run_pipeline(
     budget.baseline_name = f"sw_{config.grids[0]}x{config.grids[0]}"
     budget.budget_ratio = compare_budgets(budget, baseline)
     return PipelineRun(density, patches, gaze_results, detections, budget, standard_size)
-
-
-def sliding_window_patches(extent: SceneExtent, grid: int, expansion: float = DEFAULT_EXPANSION) -> list[Patch]:
-    """Every cell of a grid x grid partition of the scene, expanded like
-    saccade patches for parity; no density selection."""
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
-    check_expansion(expansion)
-    xs, ys = _axis_bounds(extent.width, grid), _axis_bounds(extent.height, grid)
-    patches = []
-    for iy in range(grid):
-        for ix in range(grid):
-            region = _cell_region(xs, ys, ix, iy, 1.0, extent)
-            patches.append(Patch(ScaleLevel.TINY, ix, iy, expand_and_clip(region, expansion, extent), 0.0))
-    return patches
 
 
 def sliding_window_run(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -81,41 +82,48 @@ def build_integral(dmap: DensityMap) -> IntegralImage:
     return IntegralImage(table=table)
 
 
-def _axis_bounds(map_cells: int, grid_cells: int) -> list[int]:
-    """Cell boundaries along one axis; floor rule so the grid tiles exactly."""
-    return [(i * map_cells) // grid_cells for i in range(grid_cells + 1)]
+def _cell_bounds(width: int, height: int, cells_x: int, cells_y: int, raster: str) -> tuple[list[int], list[int]]:
+    """Cell boundaries (xs, ys) of a grid over a width x height raster, by
+    the floor rule so the grid tiles exactly. A grid finer than the raster
+    would have empty cells, and is a configuration error."""
+    if cells_x > width or cells_y > height:
+        raise ConfigError(f"grid {cells_x}x{cells_y} is finer than the {width}x{height} {raster}")
+    xs = [(i * width) // cells_x for i in range(cells_x + 1)]
+    ys = [(j * height) // cells_y for j in range(cells_y + 1)]
+    return xs, ys
 
 
 def _grid_bounds(dmap: DensityMap, grid: GridSpec, extent: SceneExtent) -> tuple[list[int], list[int]]:
-    """Cell boundaries (xs, ys) in map cells, checked against the map and scene.
-
-    A grid finer than the map is a configuration error; a map that
-    overruns the scene is an input error.
-    """
-    if grid.cells_x > dmap.width or grid.cells_y > dmap.height:
-        raise ConfigError(
-            f"grid {grid.cells_x}x{grid.cells_y} is finer than the {dmap.width}x{dmap.height} map"
-        )
-    xs = _axis_bounds(dmap.width, grid.cells_x)
-    ys = _axis_bounds(dmap.height, grid.cells_y)
+    """Cell boundaries (xs, ys) in map cells. A map that overruns the scene,
+    or has fewer cells than the ceil(extent / downsample) that
+    render_gt_density makes for it, is an input error."""
+    xs, ys = _cell_bounds(dmap.width, dmap.height, grid.cells_x, grid.cells_y, "map")
+    d = dmap.downsample
+    short = dmap.width < math.ceil(extent.width / d) or dmap.height < math.ceil(extent.height / d)
     # The last row and column start furthest out: if they start inside the
     # scene, every cell region has positive size.
-    if xs[-2] * dmap.downsample >= extent.width or ys[-2] * dmap.downsample >= extent.height:
+    if short or xs[-2] * d >= extent.width or ys[-2] * d >= extent.height:
         raise ValueError(
-            f"{dmap.width}x{dmap.height} map at downsample {dmap.downsample} overruns "
+            f"{dmap.width}x{dmap.height} map at downsample {d} {'falls short of' if short else 'overruns'} "
             f"the {extent.width}x{extent.height} scene"
         )
     return xs, ys
 
 
-def _cell_region(
-    xs: list[int], ys: list[int], ix: int, iy: int, downsample: float, extent: SceneExtent
-) -> BoundingBox:
-    """Footprint of cell (ix, iy) in original-image pixels, clipped to the scene."""
-    rx0, ry0 = xs[ix] * downsample, ys[iy] * downsample
-    rx1 = min(xs[ix + 1] * downsample, float(extent.width))
-    ry1 = min(ys[iy + 1] * downsample, float(extent.height))
-    return BoundingBox(rx0, ry0, rx1 - rx0, ry1 - ry0)
+def _cell_patches(scale, cells, densities, xs, ys, downsample, extent, expansion=None) -> list[Patch]:
+    """A Patch per grid cell (iy, ix) and its density, in the order given.
+    Its region is the cell footprint, the bounds xs and ys times downsample,
+    clipped to the scene, then expand_and_clip of it when an expansion is given."""
+    patches = []
+    for (iy, ix), density in zip(cells, densities):
+        x0, y0 = xs[ix] * downsample, ys[iy] * downsample
+        x1 = min(xs[ix + 1] * downsample, float(extent.width))
+        y1 = min(ys[iy + 1] * downsample, float(extent.height))
+        region = BoundingBox(x0, y0, x1 - x0, y1 - y0)
+        if expansion is not None:
+            region = expand_and_clip(region, expansion, extent)
+        patches.append(Patch(scale, ix, iy, region, density))
+    return patches
 
 
 # Map cells folded per step into the running column sums (256 KB of rows).
@@ -159,18 +167,9 @@ def grid_densities(dmap: DensityMap, grid: GridSpec, extent: SceneExtent) -> lis
     """Integrate the map over each grid cell: one Patch per cell, whose
     region is the cell footprint, ordered row-major (iy, ix)."""
     xs, ys = _grid_bounds(dmap, grid, extent)
-    densities = _cell_sums(dmap.values, xs, ys).tolist()
-    return [
-        Patch(
-            scale=grid.scale,
-            ix=ix,
-            iy=iy,
-            region=_cell_region(xs, ys, ix, iy, dmap.downsample, extent),
-            density=densities[iy][ix],
-        )
-        for iy in range(grid.cells_y)
-        for ix in range(grid.cells_x)
-    ]
+    densities = _cell_sums(dmap.values, xs, ys).ravel().tolist()
+    cells = product(range(grid.cells_y), range(grid.cells_x))
+    return _cell_patches(grid.scale, cells, densities, xs, ys, dmap.downsample, extent)
 
 
 def expand_and_clip(region: BoundingBox, expansion: float, extent: SceneExtent) -> BoundingBox:
@@ -244,12 +243,22 @@ def saccade(
         dmap = dset[scale]
         xs, ys = _grid_bounds(dmap, grids[scale], extent)
         densities = _cell_sums(dmap.values, xs, ys)
-        for iy, ix in zip(*(axis.tolist() for axis in np.nonzero(densities > threshold))):
-            region = _cell_region(xs, ys, ix, iy, dmap.downsample, extent)
-            patches.append(
-                Patch(scale, ix, iy, expand_and_clip(region, expansion, extent), float(densities[iy, ix]))
-            )
+        hot = densities > threshold
+        cells, hot_densities = np.argwhere(hot).tolist(), densities[hot].tolist()
+        patches += _cell_patches(scale, cells, hot_densities, xs, ys, dmap.downsample, extent, expansion)
     return patches
+
+
+def sliding_window_patches(extent: SceneExtent, grid: int, expansion: float = DEFAULT_EXPANSION) -> list[Patch]:
+    """Every cell of a grid x grid partition of the scene, expanded like
+    saccade patches for parity; no density selection. A grid with more
+    cells than the scene has pixels on an axis is a configuration error."""
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
+    check_expansion(expansion)
+    xs, ys = _cell_bounds(extent.width, extent.height, grid, grid, "scene")
+    cells = product(range(grid), repeat=2)
+    return _cell_patches(ScaleLevel.TINY, cells, [0.0] * grid**2, xs, ys, 1.0, extent, expansion)
 
 
 def patch_manifest(patches: list[Patch]) -> list[dict]:

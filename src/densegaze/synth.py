@@ -317,8 +317,10 @@ def scene_stats(
 
     Coverage is measured on a raster at the given downsample: a cell
     counts as foreground when its center falls inside any box, which
-    estimates union area without double-counting overlaps. Everything is
-    read from the box columns; no Annotation is built.
+    estimates union area without double-counting overlaps. A scene with a
+    side under half a cell holds no cell center, so its coverage is 0.0, as
+    for a scene without annotations. Everything is read from the box
+    columns; no Annotation is built.
     """
     x, y, w, h = Annotations.of(annotations).boxes.T
     longest = np.maximum(w, h)
@@ -344,7 +346,8 @@ def scene_stats(
     # Cells whose centers land beyond the scene edge never count.
     in_scene_w = min(gw, int(math.floor(extent.width / d + 0.5)))
     in_scene_h = min(gh, int(math.floor(extent.height / d + 0.5)))
-    fraction = float(covered[:in_scene_h, :in_scene_w].sum()) / float(in_scene_w * in_scene_h)
+    cells = in_scene_w * in_scene_h
+    fraction = float(covered[:in_scene_h, :in_scene_w].sum()) / float(cells) if cells else 0.0
 
     ratio = longest.max().item() / longest.min().item()
     return SceneStats(scale_counts=counts, foreground_fraction=fraction, side_ratio=ratio)

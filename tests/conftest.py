@@ -1,7 +1,21 @@
+import warnings
+
 import pytest
 
 from densegaze import NoisyDetector, OracleDetector, PipelineConfig, run_pipeline
 from densegaze.synth import SceneSpec, generate_scene
+
+# Hypothesis's report hook imports this module when a property fails. With
+# libcst installed, that import warns that mypy_extensions.TypedDict is
+# deprecated, and under -W error the warning replaces the falsifying
+# example with an INTERNALERROR. Importing it once here, with that warning
+# ignored, keeps the report; -W error still applies to every test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -88,6 +88,14 @@ class TestSynthCommand:
         assert sum(payload["scale_counts"].values()) == 150
         assert len(payload["scale_counts"]) == 4
 
+    def test_stats_on_a_scene_under_half_a_raster_cell(self, tmp_path, capsys):
+        scene = tmp_path / "tiny.json"
+        rows = [{"id": 0, "bbox": [1.0, 1.0, 2.0, 2.0], "category": 0}]
+        scene.write_text(json.dumps({"scene": {"width": 10, "height": 10}, "annotations": rows}))
+        assert run_cli("stats", "--annotations", scene) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["foreground_fraction"] == 0.0 and payload["side_ratio"] == 1.0
+
 
 class TestDensityCommand:
     def test_writes_readable_dmap(self, scene_file, tmp_path):
@@ -597,6 +605,22 @@ class TestExitCodes:
         small.write_text(json.dumps({"scene": {"width": 1000, "height": 1000}, "annotations": []}))
         assert run_cli("run", "--annotations", small, "--density", dmap, "--out", tmp_path / "d.json") == 3
         assert "overruns the 1000x1000 scene" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "saccade"])
+    def test_map_short_of_the_scene_is_io_error(self, tmp_path, capsys, command):
+        # A map rendered for an 8192x8192 scene covers only the top-left
+        # corner of the stock scene; selecting from it would miss the rest.
+        corner, stock = tmp_path / "corner.json", tmp_path / "stock.json"
+        rows = [{"id": i, "bbox": [1000.0 * i, 500.0, 60.0, 90.0], "category": 0} for i in range(8)]
+        corner.write_text(json.dumps({"scene": {"width": 8192, "height": 8192}, "annotations": rows}))
+        assert run_cli("synth", "--out", stock) == 0
+        dmap = tmp_path / "corner.dmap"
+        assert run_cli("density", "--annotations", corner, "--out", dmap) == 0
+        capsys.readouterr()
+        assert run_cli(command, "--annotations", stock, "--density", dmap, "--out", tmp_path / "o.json") == 3
+        err = capsys.readouterr().err
+        assert "256x256 map at downsample 32.0 falls short of the 26368x14976 scene" in err
+        assert not (tmp_path / "o.json").exists()
 
     def test_corrupt_dmap_is_io_error(self, scene_file, tmp_path):
         bad = tmp_path / "bad.dmap"

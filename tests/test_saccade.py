@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from densegaze.config import PipelineConfig, build_config
 from densegaze.core import Annotation, BoundingBox, ConfigError, ScaleLevel, SceneExtent
 from densegaze.density import DensityMap, DensityMapSet, render_gt_density
+from densegaze.gaze import OracleDetector
+from densegaze.pipeline import sliding_window_run
 from densegaze.saccade import (
     CellDensity,
     GridSpec,
@@ -22,6 +24,7 @@ from densegaze.saccade import (
     patch_manifest,
     saccade,
     select_patches,
+    sliding_window_patches,
 )
 
 
@@ -409,3 +412,120 @@ class TestSaccade:
         grids = default_grids()
         assert [grids[s].cells_x for s in ScaleLevel] == [16, 8, 4, 2]
         assert all(grids[s].cells_x == grids[s].cells_y for s in ScaleLevel)
+
+
+def cell_keys(patches):
+    """Every field of each patch, floats by repr, so -0.0 and 0.0 differ."""
+    return [repr((p.scale, p.ix, p.iy, p.region, p.density)) for p in patches]
+
+
+def reference_footprint(x0, x1, y0, y1, extent):
+    """A cell spanning [x0, x1) x [y0, y1) in pixels, clipped to the scene."""
+    x1, y1 = min(x1, float(extent.width)), min(y1, float(extent.height))
+    return BoundingBox(x0, y0, x1 - x0, y1 - y0)
+
+
+def reference_sliding_window(extent, grid, expansion):
+    """Every (i * W) // grid footprint, grown by expand_and_clip, row-major."""
+    w, h = extent.width, extent.height
+    patches = []
+    for iy in range(grid):
+        for ix in range(grid):
+            x0, x1 = float(ix * w // grid), float((ix + 1) * w // grid)
+            y0, y1 = float(iy * h // grid), float((iy + 1) * h // grid)
+            region = expand_and_clip(reference_footprint(x0, x1, y0, y1, extent), expansion, extent)
+            patches.append(Patch(ScaleLevel.TINY, ix, iy, region, 0.0))
+    return patches
+
+
+@pytest.fixture(params=["stock", "crowd"])
+def scene_maps(request):
+    """The rendered maps and extent of the stock scene or the 1k crowd."""
+    if request.param == "stock":
+        _, extent = request.getfixturevalue("default_scene")
+        return request.getfixturevalue("default_run").density, extent
+    _, extent, run = request.getfixturevalue("noisy_crowd")
+    return run.density, extent
+
+
+class TestOneCellBuilder:
+    """grid_densities, saccade and sliding_window_patches build each cell's
+    patch by one rule: the footprint, clipped, then grown if selected."""
+
+    @pytest.mark.parametrize("expansion", [1.0, 1.2, 1.5])
+    @pytest.mark.parametrize("threshold", [0.0, 0.2, 1.5])
+    def test_saccade_equals_selection_over_grid_densities(self, scene_maps, threshold, expansion):
+        dset, extent = scene_maps
+        grids = default_grids()
+        patches = saccade(dset, grids, threshold, expansion, extent)
+        cells = [cell for s in ScaleLevel for cell in grid_densities(dset[s], grids[s], extent)]
+        assert patches
+        assert cell_keys(patches) == cell_keys(select_patches(cells, threshold, expansion, extent))
+
+    @pytest.mark.parametrize("cells", [(16, 16), (7, 5), (1, 1), (13, 2)])
+    def test_grid_density_regions_are_clipped_footprints(self, scene_maps, cells):
+        dset, extent = scene_maps
+        for scale in ScaleLevel:
+            dmap_, grid = dset[scale], GridSpec(scale, *cells)
+            d = dmap_.downsample
+            xs = [(i * dmap_.width) // grid.cells_x for i in range(grid.cells_x + 1)]
+            ys = [(j * dmap_.height) // grid.cells_y for j in range(grid.cells_y + 1)]
+            expected = []
+            for iy in range(grid.cells_y):
+                for ix in range(grid.cells_x):
+                    region = reference_footprint(xs[ix] * d, xs[ix + 1] * d, ys[iy] * d, ys[iy + 1] * d, extent)
+                    expected.append(repr((scale, ix, iy, region)))
+            got = grid_densities(dmap_, grid, extent)
+            assert [repr((c.scale, c.ix, c.iy, c.region)) for c in got] == expected
+
+    @pytest.mark.parametrize("expansion", [1.0, 1.2, 1.5])
+    @pytest.mark.parametrize("grid", [1, 2, 7, 8, 16])
+    @pytest.mark.parametrize(
+        "extent",
+        [SceneExtent(26368, 14976), SceneExtent(1003, 911), SceneExtent(100000, 80000), SceneExtent(17, 16)],
+        ids=str,
+    )
+    def test_sliding_window_equals_reference(self, extent, grid, expansion):
+        got = sliding_window_patches(extent, grid, expansion)
+        assert cell_keys(got) == cell_keys(reference_sliding_window(extent, grid, expansion))
+
+    def test_sliding_window_at_one_pixel_per_cell(self):
+        extent = SceneExtent(7, 5)
+        got = sliding_window_patches(extent, 5, expansion=1.0)
+        assert cell_keys(got) == cell_keys(reference_sliding_window(extent, 5, 1.0))
+        assert min(p.region.width for p in got) == 1.0 and min(p.region.height for p in got) == 1.0
+
+    @pytest.mark.parametrize("extent, grid", [(SceneExtent(7, 5), 7), (SceneExtent(5, 7), 6), (SceneExtent(3, 3), 4)])
+    def test_sliding_window_refuses_a_grid_finer_than_the_scene(self, extent, grid):
+        message = f"^grid {grid}x{grid} is finer than the {extent.width}x{extent.height} scene$"
+        with pytest.raises(ConfigError, match=message):
+            sliding_window_patches(extent, grid)
+        with pytest.raises(ConfigError, match=message):
+            sliding_window_run(extent, grid, OracleDetector([]), (8, 8))
+
+    def test_pipeline_keeps_the_sliding_window_name(self):
+        pipeline = importlib.import_module("densegaze.pipeline")
+        assert pipeline.sliding_window_patches is sliding_window_patches
+
+
+class TestMapCoverage:
+    """A map must have the ceil(extent / downsample) cells per axis that
+    render_gt_density makes for the scene."""
+
+    # 125 x 94 cells at downsample 32; TestGridDensities takes that map.
+    EXTENT = SceneExtent(4000, 3000)
+
+    @pytest.mark.parametrize("shape", [(94, 124), (93, 125), (1, 1)])
+    def test_grid_densities_refuses_a_map_short_of_the_scene(self, shape):
+        h, w = shape
+        message = f"^{w}x{h} map at downsample 32.0 falls short of the 4000x3000 scene$"
+        with pytest.raises(ValueError, match=message):
+            grid_densities(dmap(np.zeros(shape)), GridSpec(ScaleLevel.TINY, 1, 1), self.EXTENT)
+
+    def test_saccade_refuses_a_map_short_of_the_scene(self, default_scene):
+        annotations, extent = default_scene
+        inside = [a for a in annotations if a.bbox.right <= 8192 and a.bbox.bottom <= 8192]
+        corner = render_gt_density(inside, SceneExtent(8192, 8192))
+        assert sum(corner[s].total_mass() for s in ScaleLevel) > 0
+        with pytest.raises(ValueError, match="^256x256 map at downsample 32.0 falls short of the 26368x14976 scene$"):
+            saccade(corner, extent=extent)

@@ -339,6 +339,20 @@ class TestSceneStats:
             stats = scene_stats(given_as, extent, downsample)
             assert repr((stats.scale_counts, stats.foreground_fraction, stats.side_ratio)) == expected
 
+    @pytest.mark.parametrize("extent", [SceneExtent(10, 10), SceneExtent(15, 1000), SceneExtent(1000, 15)], ids=str)
+    def test_a_side_under_half_a_cell_holds_no_cell_center(self, extent):
+        stats = scene_stats([Annotation(0, BoundingBox(1, 1, 2, 2))], extent)
+        assert stats.foreground_fraction == 0.0
+        assert stats.scale_counts[ScaleLevel.TINY] == 1 and stats.side_ratio == 1.0
+
+    @pytest.mark.parametrize("extent", [SceneExtent(16, 16), SceneExtent(16, 1000), SceneExtent(47, 17)], ids=str)
+    def test_a_side_of_half_a_cell_holds_one(self, extent):
+        annotations = [Annotation(0, BoundingBox(0, 0, 16, 16))]
+        expected = repr(reference_scene_stats(annotations, extent))
+        stats = scene_stats(annotations, extent)
+        assert repr((stats.scale_counts, stats.foreground_fraction, stats.side_ratio)) == expected
+        assert stats.foreground_fraction > 0.0
+
     def test_json_dict(self, default_scene):
         annotations, extent = default_scene
         payload = scene_stats(annotations, extent).to_json_dict()
