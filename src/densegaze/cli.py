@@ -186,7 +186,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     run = run_pipeline(annotations, extent, config, adapter)
     runs: dict[str, BudgetReport] = {"saccade": run.budget}
-    for grid in (config.grids[0], config.grids[1]):
+    for grid in dict.fromkeys((config.grids[0], config.grids[1])):
         _, report = sliding_window_run(
             extent,
             grid,

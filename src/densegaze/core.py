@@ -132,9 +132,6 @@ class SceneExtent:
     def area(self) -> float:
         return float(self.width) * float(self.height)
 
-    def contains_point(self, x: float, y: float) -> bool:
-        return 0.0 <= x <= self.width and 0.0 <= y <= self.height
-
 
 def box_array(items) -> np.ndarray:
     """The (n, 4) float64 x, y, width, height of every item's .bbox."""

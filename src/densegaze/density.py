@@ -286,13 +286,22 @@ def _stamp_chunk(planes, bucket, windows, cx, cy, sigma, radius) -> None:
             planes[b][ay0:ay1, ax0:ax1] += kernel[ky0:ky1, kx0:kx1]
 
 
+def map_size(extent: SceneExtent, downsample: float) -> tuple[int, int]:
+    """A scene's map size in cells, (width, height): per side, ceil(side / downsample), less
+    one where rounding puts the last cell's start, (n - 1) * downsample, on or past the edge."""
+    if not 1 <= downsample < math.inf:
+        raise ValueError(f"downsample must be finite and >= 1, got {downsample}")
+    n, m = math.ceil(extent.width / downsample), math.ceil(extent.height / downsample)
+    return n - ((n - 1) * downsample >= extent.width), m - ((m - 1) * downsample >= extent.height)
+
+
 def render_gt_density(
     annotations: list[Annotation],
     extent: SceneExtent,
     downsample: float = DEFAULT_DOWNSAMPLE,
     boundaries: tuple[float, float, float] = DEFAULT_SCALE_BOUNDARIES,
 ) -> DensityMapSet:
-    """Render ground-truth density maps, one per scale bucket.
+    """Render ground-truth density maps of map_size cells, one per scale bucket.
 
     Each annotation contributes one unit-mass stamp to the map of its
     bucket; an annotation whose center lies outside the scene is rejected.
@@ -304,10 +313,7 @@ def render_gt_density(
     are faulted in by run. Each chunk's buckets, sigmas, kernels and
     windows exist only while it is marked or stamped.
     """
-    if not 1 <= downsample < math.inf:
-        raise ValueError(f"downsample must be finite and >= 1, got {downsample}")
-    map_w = int(math.ceil(extent.width / downsample))
-    map_h = int(math.ceil(extent.height / downsample))
+    map_w, map_h = map_size(extent, downsample)
     columns = (*_stamp_columns(annotations, extent, downsample, boundaries), downsample, boundaries, map_w, map_h)
     pages = (_written_pages(bucket, windows, map_h, map_w) for bucket, windows, *_ in _chunks(*columns))
     planes = list(_zero_planes((len(ScaleLevel), map_h, map_w), pages))

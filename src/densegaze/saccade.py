@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .core import BoundingBox, ConfigError, ScaleLevel, SceneExtent
-from .density import DensityMap, DensityMapSet
+from .density import DensityMap, DensityMapSet, map_size
 
 DEFAULT_GRID_CELLS = (16, 8, 4, 2)
 DEFAULT_DENSITY_THRESHOLD = 0.2
@@ -94,18 +94,14 @@ def _cell_bounds(width: int, height: int, cells_x: int, cells_y: int, raster: st
 
 
 def _grid_bounds(dmap: DensityMap, grid: GridSpec, extent: SceneExtent) -> tuple[list[int], list[int]]:
-    """Cell boundaries (xs, ys) in map cells. A map that overruns the scene,
-    or has fewer cells than the ceil(extent / downsample) that
-    render_gt_density makes for it, is an input error."""
+    """Cell boundaries (xs, ys) in map cells. A map of any size but the
+    map_size of its scene, which render_gt_density makes, is an input error."""
     xs, ys = _cell_bounds(dmap.width, dmap.height, grid.cells_x, grid.cells_y, "map")
-    d = dmap.downsample
-    short = dmap.width < math.ceil(extent.width / d) or dmap.height < math.ceil(extent.height / d)
-    # The last row and column start furthest out: if they start inside the
-    # scene, every cell region has positive size.
-    if short or xs[-2] * d >= extent.width or ys[-2] * d >= extent.height:
+    if (dmap.width, dmap.height) != (size := map_size(extent, dmap.downsample)):
+        short = dmap.width < size[0] or dmap.height < size[1]
         raise ValueError(
-            f"{dmap.width}x{dmap.height} map at downsample {d} {'falls short of' if short else 'overruns'} "
-            f"the {extent.width}x{extent.height} scene"
+            f"{dmap.width}x{dmap.height} map at downsample {dmap.downsample} "
+            f"{'falls short of' if short else 'overruns'} the {extent.width}x{extent.height} scene"
         )
     return xs, ys
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import ConfigKey, layer_settings
 from .core import DEFAULT_SCALE_BOUNDARIES, Annotation, Annotations, BoundingBox, ScaleLevel, SceneExtent
+from .density import map_size
 
 DEFAULT_EXTENT = SceneExtent(26368, 14976)
 
@@ -315,7 +316,7 @@ def scene_stats(
 ) -> SceneStats:
     """Bucket histogram, union foreground coverage, and size span of a scene.
 
-    Coverage is measured on a raster at the given downsample: a cell
+    Coverage is measured on the map_size raster at that downsample: a cell
     counts as foreground when its center falls inside any box, which
     estimates union area without double-counting overlaps. A scene with a
     side under half a cell holds no cell center, so its coverage is 0.0, as
@@ -328,12 +329,11 @@ def scene_stats(
     levels = np.searchsorted(np.asarray(DEFAULT_SCALE_BOUNDARIES), longest, side="right")
     counts = dict(zip(ScaleLevel, np.bincount(levels, minlength=len(ScaleLevel)).tolist()))
 
+    gw, gh = map_size(extent, raster_downsample)
     if longest.size == 0:
         return SceneStats(scale_counts=counts, foreground_fraction=0.0, side_ratio=0.0)
 
     d = raster_downsample
-    gw = int(math.ceil(extent.width / d))
-    gh = int(math.ceil(extent.height / d))
     covered = np.zeros((gh, gw), dtype=bool)
     # Each box covers the cells whose centers it holds, clamped to the raster.
     x0 = np.clip(np.ceil(x / d - 0.5), 0, gw).astype(np.int64)

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from densegaze import synth
+from densegaze import cli, synth
 from densegaze.cli import main
 from densegaze.core import load_scene
 from densegaze.density import read_dmap
+from densegaze.pipeline import sliding_window_run
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -622,6 +623,19 @@ class TestExitCodes:
         assert "256x256 map at downsample 32.0 falls short of the 26368x14976 scene" in err
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("command", ["run", "saccade"])
+    def test_the_stock_map_overruns_a_narrower_scene(self, tmp_path, capsys, command):
+        # The stock scene's map has 824 columns; a 25000 px wide scene has 782.
+        stock, narrow = tmp_path / "stock.json", tmp_path / "narrow.json"
+        assert run_cli("synth", "--out", stock) == 0
+        assert run_cli("synth", "--out", narrow, "--width", 25000) == 0
+        dmap = tmp_path / "stock.dmap"
+        assert run_cli("density", "--annotations", stock, "--out", dmap) == 0
+        capsys.readouterr()
+        assert run_cli(command, "--annotations", narrow, "--density", dmap, "--out", tmp_path / "o.json") == 3
+        assert "824x468 map at downsample 32.0 overruns the 25000x14976 scene" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
     def test_corrupt_dmap_is_io_error(self, scene_file, tmp_path):
         bad = tmp_path / "bad.dmap"
         bad.write_bytes(b"XMAP" + b"\x00" * 64)
@@ -676,6 +690,19 @@ class TestBenchCommand:
         adapter = f"exec:{sys.executable} {script}"
         assert run_cli("bench", "--annotations", scene_file, "--adapter", adapter) == 0
         assert calls.read_text() == "call\n" * 3
+
+    def test_a_repeated_grid_runs_once(self, scene_file, tmp_path, monkeypatch):
+        grids = []
+
+        def recording_run(extent, grid, *args, **kwargs):
+            grids.append(grid)
+            return sliding_window_run(extent, grid, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "sliding_window_run", recording_run)
+        out = tmp_path / "bench.json"
+        assert run_cli("bench", "--annotations", scene_file, "--grids", "16,16,4,2", "--out", out) == 0
+        assert grids == [16]
+        assert set(json.loads(out.read_text())["runs"]) == {"saccade", "sw_256"}
 
     def test_budgets_deterministic(self, scene_file, tmp_path):
         outs = []

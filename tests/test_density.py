@@ -24,6 +24,7 @@ from densegaze.density import (
     DmapVersionError,
     apply_count_scale,
     invert_count_scale,
+    map_size,
     read_dmap,
     render_gt_density,
     scale_aware_loss,
@@ -62,7 +63,7 @@ def reference_render(annotations, extent, downsample=32.0, boundaries=(800.0, 16
     planes = [np.zeros((map_h, map_w), dtype=np.float64) for _ in ScaleLevel]
     for ann in annotations:
         cx, cy = ann.bbox.center
-        if not extent.contains_point(cx, cy):
+        if not (0.0 <= cx <= extent.width and 0.0 <= cy <= extent.height):
             raise ValueError(
                 f"annotation {ann.id} center ({cx:.1f}, {cy:.1f}) lies outside the scene"
             )
@@ -434,6 +435,53 @@ class TestRender:
         dset = render_gt_density(anns, extent)
         for scale in ScaleLevel:
             assert dset[scale].total_mass() == pytest.approx(40.0, rel=0.01)
+
+
+# 1112 / 15 rounded down: the 16th of ceil(1112 / d) cells would start on the scene edge.
+ROUNDED_DOWNSAMPLE = math.nextafter(1112 / 15, 0)
+
+
+@st.composite
+def map_size_cases(draw):
+    """Scenes of up to 160 map cells a side at each tested downsample,
+    one of them a ratio rounded down."""
+    downsample = draw(st.sampled_from([1, 7.5, 32.0, 64.0, ROUNDED_DOWNSAMPLE]))
+    side = st.integers(1, int(160 * downsample))
+    return SceneExtent(draw(side), draw(side)), downsample
+
+
+class TestMapSize:
+    @settings(max_examples=200, deadline=None)
+    @given(map_size_cases())
+    def test_render_makes_maps_of_map_size(self, case):
+        extent, downsample = case
+        dset = render_gt_density([], extent, downsample)
+        assert (dset.width, dset.height) == map_size(extent, downsample)
+
+    @settings(max_examples=200, deadline=None)
+    @given(map_size_cases())
+    def test_every_cell_starts_inside_the_scene(self, case):
+        extent, downsample = case
+        for cells, side in zip(map_size(extent, downsample), (extent.width, extent.height)):
+            assert (cells - 1) * downsample < side
+            assert cells in (math.ceil(side / downsample), math.ceil(side / downsample) - 1)
+
+    def test_a_last_cell_rounded_onto_the_edge_is_dropped(self):
+        extent = SceneExtent(1112, 1112)
+        assert ROUNDED_DOWNSAMPLE == 74.13333333333333
+        assert math.ceil(1112 / ROUNDED_DOWNSAMPLE) == 16 and 15 * ROUNDED_DOWNSAMPLE >= 1112
+        assert map_size(extent, ROUNDED_DOWNSAMPLE) == (15, 15)
+        dset = render_gt_density([], extent, ROUNDED_DOWNSAMPLE)
+        assert (dset.width, dset.height) == (15, 15)
+
+    def test_stock_scene(self):
+        assert map_size(SceneExtent(26368, 14976), 32.0) == (824, 468)
+        assert map_size(SceneExtent(25000, 14976), 32.0) == (782, 468)
+
+    @pytest.mark.parametrize("downsample", [0, -1, 0.5, math.inf, math.nan])
+    def test_rejects_a_bad_downsample(self, downsample):
+        with pytest.raises(ValueError, match=r"^downsample must be finite and >= 1, got "):
+            map_size(EXTENT, downsample)
 
 
 class TestScaleAwareLoss:

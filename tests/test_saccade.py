@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from densegaze.config import PipelineConfig, build_config
 from densegaze.core import Annotation, BoundingBox, ConfigError, ScaleLevel, SceneExtent
-from densegaze.density import DensityMap, DensityMapSet, render_gt_density
+from densegaze.density import DensityMap, DensityMapSet, map_size, render_gt_density
 from densegaze.gaze import OracleDetector
 from densegaze.pipeline import sliding_window_run
 from densegaze.saccade import (
@@ -529,3 +530,61 @@ class TestMapCoverage:
         assert sum(corner[s].total_mass() for s in ScaleLevel) > 0
         with pytest.raises(ValueError, match="^256x256 map at downsample 32.0 falls short of the 26368x14976 scene$"):
             saccade(corner, extent=extent)
+
+
+@st.composite
+def sized_scenes(draw, smallest=1):
+    """Scenes of up to 160 map cells a side at each tested downsample, one
+    of them a ratio rounded down, with sides of at least smallest cells."""
+    downsample = draw(st.sampled_from([1, 7.5, 32.0, 64.0, math.nextafter(1112 / 15, 0)]))
+    side = st.integers(int((smallest - 1) * downsample) + 1, int(160 * downsample))
+    return SceneExtent(draw(side), draw(side)), downsample
+
+
+class TestExactMapSize:
+    """A map must be exactly map_size of its scene: one column or row more
+    overruns it, and one fewer on either axis falls short of it."""
+
+    @staticmethod
+    def message(shape, downsample, extent, verb):
+        h, w = shape
+        return f"^{re.escape(f'{w}x{h} map at downsample {downsample} {verb} the {extent.width}x{extent.height} scene')}$"
+
+    @settings(max_examples=30, deadline=None)
+    @given(sized_scenes())
+    def test_a_grid_as_fine_as_the_map_gives_every_cell_an_area(self, case):
+        extent, downsample = case
+        w, h = map_size(extent, downsample)
+        cells = grid_densities(dmap(np.zeros((h, w)), downsample), GridSpec(ScaleLevel.TINY, w, h), extent)
+        assert len(cells) == w * h
+        assert all(c.region.width > 0 and c.region.height > 0 for c in cells)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sized_scenes(smallest=2), st.sampled_from([(0, 1), (1, 0), (1, 1)]))
+    def test_an_extra_row_or_column_overruns(self, case, extra):
+        extent, downsample = case
+        w, h = map_size(extent, downsample)
+        shape = (h + extra[0], w + extra[1])
+        with pytest.raises(ValueError, match=self.message(shape, downsample, extent, "overruns")):
+            grid_densities(dmap(np.zeros(shape), downsample), GridSpec(ScaleLevel.TINY, 1, 1), extent)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sized_scenes(smallest=2), st.sampled_from([(0, -1), (-1, 0), (-1, -1), (1, -1), (-1, 1)]))
+    def test_a_missing_row_or_column_falls_short(self, case, missing):
+        extent, downsample = case
+        w, h = map_size(extent, downsample)
+        shape = (h + missing[0], w + missing[1])
+        with pytest.raises(ValueError, match=self.message(shape, downsample, extent, "falls short of")):
+            grid_densities(dmap(np.zeros(shape), downsample), GridSpec(ScaleLevel.TINY, 1, 1), extent)
+
+    def test_a_grid_as_fine_as_a_rounded_map_is_accepted(self):
+        extent, downsample = SceneExtent(1112, 1112), math.nextafter(1112 / 15, 0)
+        tiny = render_gt_density([], extent, downsample)[ScaleLevel.TINY]
+        assert len(grid_densities(tiny, GridSpec(ScaleLevel.TINY, 15, 15), extent)) == 225
+        with pytest.raises(ValueError, match=self.message((16, 16), downsample, extent, "overruns")):
+            grid_densities(dmap(np.zeros((16, 16)), downsample), GridSpec(ScaleLevel.TINY, 16, 16), extent)
+
+    def test_saccade_refuses_the_stock_map_for_a_narrower_scene(self):
+        stock = render_gt_density([], SceneExtent(26368, 14976))
+        with pytest.raises(ValueError, match="^824x468 map at downsample 32.0 overruns the 25000x14976 scene$"):
+            saccade(stock, extent=SceneExtent(25000, 14976))

@@ -353,6 +353,12 @@ class TestSceneStats:
         assert repr((stats.scale_counts, stats.foreground_fraction, stats.side_ratio)) == expected
         assert stats.foreground_fraction > 0.0
 
+    @pytest.mark.parametrize("downsample", [0, -1, math.nan, math.inf])
+    @pytest.mark.parametrize("annotations", [[], [Annotation(0, BoundingBox(10, 10, 20, 20))]], ids=["empty", "one"])
+    def test_rejects_a_bad_raster_downsample(self, annotations, downsample):
+        with pytest.raises(ValueError, match=r"^downsample must be finite and >= 1, got "):
+            scene_stats(annotations, SceneExtent(1000, 1000), downsample)
+
     def test_json_dict(self, default_scene):
         annotations, extent = default_scene
         payload = scene_stats(annotations, extent).to_json_dict()
