@@ -332,6 +332,19 @@ def _range_chunks(lo: np.ndarray, hi: np.ndarray):
         row = stop
 
 
+def rank(keys) -> np.ndarray:
+    """np.lexsort(keys): rows ordered by the last key, ties by the one
+    before it, and so on, stable. When the last key, sorted, rises strictly
+    (no two equal neighbours, -0.0 and 0.0 being equal, and no NaN), the
+    other keys cannot reorder it, and its stable argsort is returned."""
+    primary = np.asarray(keys[-1])
+    order = np.argsort(primary, kind="stable")
+    ordered = primary[order]
+    if (ordered[1:] > ordered[:-1]).all():
+        return order
+    return np.lexsort(keys)
+
+
 def overlap_pairs(
     a: np.ndarray, b: np.ndarray, min_iou: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -346,19 +359,25 @@ def overlap_pairs(
 
     Boxes are swept in x order: a pair overlaps in x only if b starts in
     [a.x, a.right] or a starts in (b.x, b.right], so each box's partners
-    are one range of the other side sorted by x. The ranges are examined
-    in fixed-size chunks; memory is O(n + m + pairs), with no n x m matrix.
-    A self-join (b is a) runs the first sweep only: the second would find
-    the mirror of each of its pairs whose partner starts strictly later.
+    are one range of the other side sorted by x. Both sides are copied in
+    x order once (stably; a self-join sorts once), so the range searches
+    take sorted keys and the gathers walk memory in order; i and j are
+    mapped back to the input rows before the final (i, j) sort. The ranges
+    are examined in fixed-size chunks; memory is O(n + m + pairs), with no
+    n x m matrix. A self-join (b is a) runs the first sweep only: the
+    second would find the mirror of each of its pairs whose partner starts
+    strictly later.
     """
     self_join = b is a
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    ax, ay, aw, ah = a.T
-    bx, by, bw, bh = b.T
-    a_right, a_bottom, b_right, b_bottom = ax + aw, ay + ah, bx + bw, by + bh
-    b_by_x = np.argsort(bx, kind="stable")
-    b_x = bx[b_by_x]
+    a_by_x = np.argsort(a[:, 0], kind="stable")
+    b_by_x = a_by_x if self_join else np.argsort(b[:, 0], kind="stable")
+    # Columns of the x-ordered copies, each contiguous.
+    ax, ay, aw, ah = a.T[:, a_by_x]
+    bx, by, bw, bh = (ax, ay, aw, ah) if self_join else b.T[:, b_by_x]
+    a_right, a_bottom = ax + aw, ay + ah
+    b_right, b_bottom = (a_right, a_bottom) if self_join else (bx + bw, by + bh)
     # IoU >= t gives I >= t * max(A, B) with I <= iw * min(ah, bh), so iw >=
     # t * max(aw, bw): b starts within (1 - t) * aw of a.x, or a within
     # (1 - t) * bw of b.x. A range closes there plus a margin far above the
@@ -371,19 +390,15 @@ def overlap_pairs(
         window = np.minimum(x + slack * w + 1e-9 * (np.abs(x) + w), right)
         return np.where(np.minimum(w, h) >= 1e-145, window, right)
 
-    sweeps = [
-        (False, b_by_x, np.searchsorted(b_x, ax, "left"), np.searchsorted(b_x, reach(ax, aw, ah, a_right), "right")),
-    ]
+    sweeps = [(False, np.searchsorted(bx, ax, "left"), np.searchsorted(bx, reach(ax, aw, ah, a_right), "right"))]
     if not self_join:
-        a_by_x = np.argsort(ax, kind="stable")
-        a_x = ax[a_by_x]
         sweeps.append(
-            (True, a_by_x, np.searchsorted(a_x, bx, "right"), np.searchsorted(a_x, reach(bx, bw, bh, b_right), "right"))
+            (True, np.searchsorted(ax, bx, "right"), np.searchsorted(ax, reach(bx, bw, bh, b_right), "right"))
         )
     parts_i, parts_j, parts_v = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-    for swapped, by_x, lo, hi in sweeps:
+    for swapped, lo, hi in sweeps:
         for rows, pos in _range_chunks(lo, hi):
-            i, j = (by_x[pos], rows) if swapped else (rows, by_x[pos])
+            i, j = (pos, rows) if swapped else (rows, pos)
             near = (by[j] <= a_bottom[i]) & (ay[i] <= b_bottom[j])
             i, j = i[near], j[near]
             iw = np.minimum(
@@ -408,6 +423,7 @@ def overlap_pairs(
         # Every term of v commutes in a and b, so the mirror's IoU is v's bits.
         later = bx[j] > ax[i]
         i, j, v = np.concatenate((i, j[later])), np.concatenate((j, i[later])), np.concatenate((v, v[later]))
+    i, j = a_by_x[i], b_by_x[j]
     order = np.lexsort((j, i))
     return i[order], j[order], v[order]
 

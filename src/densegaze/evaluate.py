@@ -22,6 +22,7 @@ from .core import (
     EvalSizeBucket,
     GlobalDetection,
     overlap_pairs,
+    rank,
 )
 
 MATCH_IOU = 0.5
@@ -93,8 +94,10 @@ def format_table(rows: list[tuple[str, ...]]) -> str:
 
 
 def _sorted_order(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Ranking for matching: score desc, then x, y, width, height; stable."""
-    return np.lexsort((boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], -scores))
+    """Ranking for matching: score desc, then x, y, width, height; stable.
+    rank takes one stable argsort of the scores when no two are equal, and
+    the full lexsort when some are (as the oracle's 1.0s are)."""
+    return rank((boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], -scores))
 
 
 def _match(
@@ -112,7 +115,8 @@ def _match(
     # IoU 0.0 never matches, even at a threshold of 0.
     ok = (v > 0.0) & (dets.categories[order][i] == gt_categories[j])
     i, j, v = i[ok], j[ok], v[ok]
-    preference = np.lexsort((j, -v, i))
+    # Pairs arrive (i, j)-ordered, so a stable sort on (i, -v) keeps j ascending.
+    preference = np.lexsort((-v, i))
     match = [-1] * len(order)
     taken = [False] * len(gt_boxes)
     for di, gi in zip(i[preference].tolist(), j[preference].tolist()):

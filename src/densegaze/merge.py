@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    BoundingBox, Detections, GlobalDetection, PatchDetection, SceneExtent, clip_corners, json_list, overlap_pairs,
+    BoundingBox, Detections, GlobalDetection, PatchDetection, SceneExtent, _column, clip_corners, json_list,
+    overlap_pairs, rank,
 )
 from .gaze import GazeResult, NormalizedPatch
 
@@ -43,16 +44,16 @@ def _nms_keep(dets: Detections, iou_threshold: float) -> np.ndarray:
     """Rows that greedy NMS keeps, in canonical order.
 
     The canonical order is (score desc, x, y, source, width, height,
-    category), stable for rows equal on all of them. A row's suppressors
-    are the same-category rows ranked before it with IoU above the
-    threshold. overlap_pairs yields them grouped by row (CSR order), so
-    one pass in rank order settles each row before any row it could
-    suppress: a row is dropped when one of its suppressors was kept.
+    category), stable for rows equal on all of them; rank gives it, by one
+    stable argsort of the scores when no two rows share a score (a noisy
+    detector's), by the full lexsort when some do (the oracle's 1.0s). A
+    row's suppressors are the same-category rows ranked before it with IoU
+    above the threshold. overlap_pairs yields them grouped by row (CSR
+    order), so one pass in rank order settles each row before any row it
+    could suppress: a row is dropped when one of its suppressors was kept.
     """
     boxes, categories = dets.boxes, dets.categories
-    ranked = np.lexsort(
-        (categories, boxes[:, 3], boxes[:, 2], dets.sources, boxes[:, 1], boxes[:, 0], -dets.scores)
-    )
+    ranked = rank((categories, boxes[:, 3], boxes[:, 2], dets.sources, boxes[:, 1], boxes[:, 0], -dets.scores))
     cat = categories[ranked]
     ranked_boxes = boxes[ranked]
     i, j, v = overlap_pairs(ranked_boxes, ranked_boxes, iou_threshold)
@@ -136,23 +137,31 @@ def write_detections(path: str | Path, dets: Detections | list[GlobalDetection])
         fh.write("[\n" + text + "\n]\n" if text else "[]\n")
 
 
+def _box_rows(values: list):
+    """The flat x, y, w, h values of read rows as one (n, 4) array when
+    _column takes them, else as one tuple per row for Detections' own checks."""
+    column = _column(values, np.float64)
+    return column.reshape(-1, 4) if isinstance(column, np.ndarray) else list(zip(*[iter(values)] * 4))
+
+
 def read_detections(path: str | Path) -> Detections:
     """Read a detections JSON written by write_detections (or compatible).
 
     Each row's bbox, score and category (default 0) go to Detections as
-    read, which checks them once. A missing field or a bbox that is not
-    four values raises ValueError naming its row, after earlier rows pass.
+    read, which checks them once; the bbox values are gathered in one flat
+    list and converted at once. A missing field or a bbox that is not four
+    values raises ValueError naming its row, after earlier rows pass.
     """
     with open(path, "r", encoding="utf-8") as fh:
         rows = json_list(json.load(fh), f"detections file {path}")
-    boxes, scores, categories = [], [], []
+    values, scores, categories = [], [], []
     for index, row in enumerate(rows):
         try:
             x, y, w, h = row["bbox"]
             scores.append(row["score"])
         except (KeyError, TypeError, ValueError) as exc:
-            Detections(boxes, scores, categories)  # an earlier row's fault is named first
+            Detections(_box_rows(values), scores, categories)  # an earlier row's fault is named first
             raise ValueError(f"detection row {index}: {exc!s}") from exc
-        boxes.append((x, y, w, h))
+        values += (x, y, w, h)
         categories.append(row.get("category", 0))
-    return Detections(boxes, scores, categories)
+    return Detections(_box_rows(values), scores, categories)

@@ -108,13 +108,15 @@ def _grid_bounds(dmap: DensityMap, grid: GridSpec, extent: SceneExtent) -> tuple
 
 def _cell_patches(scale, cells, densities, xs, ys, downsample, extent, expansion=None) -> list[Patch]:
     """A Patch per grid cell (iy, ix) and its density, in the order given.
-    Its region is the cell footprint, the bounds xs and ys times downsample,
-    clipped to the scene, then expand_and_clip of it when an expansion is given."""
+    Its region is the cell footprint, the bounds xs and ys times downsample
+    but the last on each axis, which is the scene edge (a map's last cell
+    may overhang the edge, or end an ulp short of it), then expand_and_clip
+    of it when an expansion is given."""
+    edges_x = [v * downsample for v in xs[:-1]] + [float(extent.width)]
+    edges_y = [v * downsample for v in ys[:-1]] + [float(extent.height)]
     patches = []
     for (iy, ix), density in zip(cells, densities):
-        x0, y0 = xs[ix] * downsample, ys[iy] * downsample
-        x1 = min(xs[ix + 1] * downsample, float(extent.width))
-        y1 = min(ys[iy + 1] * downsample, float(extent.height))
+        x0, y0, x1, y1 = edges_x[ix], edges_y[iy], edges_x[ix + 1], edges_y[iy + 1]
         region = BoundingBox(x0, y0, x1 - x0, y1 - y0)
         if expansion is not None:
             region = expand_and_clip(region, expansion, extent)

@@ -22,6 +22,7 @@ from densegaze.core import (
     iou,
     load_scene,
     overlap_pairs,
+    rank,
     save_scene,
     scale_bucket,
 )
@@ -310,6 +311,10 @@ class TestIou:
         assert iou(a, BoundingBox(a.x, a.y, a.width + grow, a.height)) < 1.0
 
 
+# Boxes on a small integer grid: many equal starts, overlaps and duplicates.
+small_rows = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 8), st.integers(1, 8))
+
+
 def as_array(box_list):
     return np.array([(b.x, b.y, b.width, b.height) for b in box_list], dtype=np.float64).reshape(-1, 4)
 
@@ -434,6 +439,77 @@ class TestOverlapPairs:
         for first, second in ((a, b), (b, a)):
             i, j, v = overlap_pairs(as_array([first]), as_array([second]), t)
             assert (i.tolist(), j.tolist(), v.tolist()) == ([0], [0], [iou(a, b)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(small_rows, max_size=14),
+        other=st.lists(small_rows, max_size=8),
+        shared=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        min_iou=st.sampled_from([0.0, 0.5]),
+    )
+    def test_invariant_under_permuting_either_input(self, rows, other, shared, seed, min_iou):
+        # Few distinct starts give equal-x ties, which the x-sorted copies
+        # must not let leak into the result.
+        a = np.array(rows, dtype=np.float64).reshape(-1, 4)
+        b = np.array(rows[:shared] + other, dtype=np.float64).reshape(-1, 4)
+        rng = np.random.default_rng(seed)
+        pa, pb = rng.permutation(len(a)), rng.permutation(len(b))
+
+        def mapped_back(a_rows, b_rows, pairs):
+            # Row p of a[a_rows] is row a_rows[p] of a; the output is (i, j)-ordered.
+            i, j, v = pairs
+            assert list(zip(i.tolist(), j.tolist())) == sorted(zip(i.tolist(), j.tolist()))
+            return sorted(zip(a_rows[i].tolist(), b_rows[j].tolist(), v.tolist()))
+
+        want = mapped_back(np.arange(len(a)), np.arange(len(b)), overlap_pairs(a, b, min_iou))
+        for a_rows, b_rows in ((pa, np.arange(len(b))), (np.arange(len(a)), pb), (pa, pb)):
+            assert mapped_back(a_rows, b_rows, overlap_pairs(a[a_rows], b[b_rows], min_iou)) == want
+        # The self-join: one shuffled array object as both sides.
+        shuffled = a[pa]
+        want = mapped_back(np.arange(len(a)), np.arange(len(a)), overlap_pairs(a, a, min_iou))
+        assert mapped_back(pa, pa, overlap_pairs(shuffled, shuffled, min_iou)) == want
+
+
+@st.composite
+def rank_keys(draw):
+    """1-7 keys of 0-50 rows, np.lexsort's argument: secondary keys with
+    many ties, and a primary (last) key that is all tied, all distinct,
+    of signed zeros, integer-valued, or any float, NaN and inf included."""
+    n = draw(st.integers(0, 50))
+    column = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    dtypes = st.sampled_from([np.int64, np.float64])
+    keys = [np.array(draw(column), dtype=draw(dtypes)) for _ in range(draw(st.integers(0, 6)))]
+    kind = draw(st.sampled_from(["tied", "distinct", "signed zeros", "integers", "floats"]))
+    if kind == "tied":
+        primary = np.full(n, draw(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan])))
+    elif kind == "distinct":
+        primary = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n, unique=True)))
+        if 0.0 in primary.tolist():
+            primary[primary == 0.0] = draw(st.sampled_from([0.0, -0.0]))
+    elif kind == "signed zeros":
+        primary = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 0.5]), min_size=n, max_size=n)))
+    elif kind == "integers":
+        values = st.integers(-3, 3) | st.integers(-(2**52), 2**52)
+        primary = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=draw(dtypes))
+    else:
+        primary = np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)), dtype=np.float64)
+    return (*keys, primary)
+
+
+class TestRank:
+    @settings(max_examples=500, deadline=None)
+    @given(rank_keys())
+    def test_equals_lexsort(self, keys):
+        got, want = rank(keys), np.lexsort(keys)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_a_tie_falls_back_to_every_key(self):
+        # -0.0 and 0.0 tie, as NaNs do, so the secondary key orders them.
+        assert rank((np.array([1, 0]), np.array([0.0, -0.0]))).tolist() == [1, 0]
+        assert rank((np.array([1, 0]), np.array([math.nan, math.nan]))).tolist() == [1, 0]
+        assert rank((np.array([1, 0]), np.array([0.1, -0.0]))).tolist() == [1, 0]
+        assert rank((np.array([0, 1]), np.array([0.1, -0.0]))).tolist() == [1, 0]
 
 
 class TestScaleBucket:

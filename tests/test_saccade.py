@@ -588,3 +588,44 @@ class TestExactMapSize:
         stock = render_gt_density([], SceneExtent(26368, 14976))
         with pytest.raises(ValueError, match="^824x468 map at downsample 32.0 overruns the 25000x14976 scene$"):
             saccade(stock, extent=SceneExtent(25000, 14976))
+
+
+class TestLastCellEndsOnTheSceneEdge:
+    """The last cell on each axis ends on the scene edge, so a grid tiles
+    the scene exactly, also where the map's last cell, times the downsample,
+    ends an ulp short of it."""
+
+    # 135 x 2 cells; 135 * downsample is 10007.999999999998.
+    EXTENT, DOWNSAMPLE = SceneExtent(10008, 100), math.nextafter(1112 / 15, 0)
+
+    def test_the_pinned_map_ends_short_of_the_edge(self):
+        w, h = map_size(self.EXTENT, self.DOWNSAMPLE)
+        assert (w, h) == (135, 2) and w * self.DOWNSAMPLE == 10007.999999999998
+
+    def test_grid_densities(self):
+        w, h = map_size(self.EXTENT, self.DOWNSAMPLE)
+        (cell,) = grid_densities(dmap(np.zeros((h, w)), self.DOWNSAMPLE), GridSpec(ScaleLevel.TINY, 1, 1), self.EXTENT)
+        assert repr(cell.region) == repr(BoundingBox(0.0, 0.0, 10008.0, 100.0))
+        cells = grid_densities(dmap(np.zeros((h, w)), self.DOWNSAMPLE), GridSpec(ScaleLevel.TINY, 7, 2), self.EXTENT)
+        assert max(c.region.right for c in cells) == 10008.0 and max(c.region.bottom for c in cells) == 100.0
+
+    def test_saccade(self):
+        w, h = map_size(self.EXTENT, self.DOWNSAMPLE)
+        values = np.zeros((h, w))
+        values[0, 0] = 1.0
+        dset = DensityMapSet(maps=tuple(dmap(values, self.DOWNSAMPLE) for _ in ScaleLevel))
+        grids = {s: GridSpec(s, 1, 1) for s in ScaleLevel}
+        patches = saccade(dset, grids, threshold=0.5, expansion=1.0, extent=self.EXTENT)
+        assert [repr(p.region) for p in patches] == [repr(BoundingBox(0.0, 0.0, 10008.0, 100.0))] * 4
+
+    def test_sliding_window_patches(self):
+        (patch,) = sliding_window_patches(self.EXTENT, 1, expansion=1.0)
+        assert repr(patch.region) == repr(BoundingBox(0.0, 0.0, 10008.0, 100.0))
+
+    @settings(max_examples=50, deadline=None)
+    @given(sized_scenes())
+    def test_a_one_cell_grid_is_the_scene(self, case):
+        extent, downsample = case
+        w, h = map_size(extent, downsample)
+        (cell,) = grid_densities(dmap(np.zeros((h, w)), float(downsample)), GridSpec(ScaleLevel.TINY, 1, 1), extent)
+        assert repr(cell.region) == repr(BoundingBox(0.0, 0.0, float(extent.width), float(extent.height)))
